@@ -2,12 +2,12 @@
 
 from .errors import CheckpointError, ConfigError, DivergedError, ShapeError
 from .gradcheck import finite_diff_grad, max_rel_error
-from .tensor import Tensor, Tape, backward, no_grad
+from .tensor import Tensor, backward, no_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "Tape", "backward", "no_grad",
+    "Tensor", "backward", "no_grad",
     "finite_diff_grad", "max_rel_error",
     "ShapeError", "ConfigError", "CheckpointError", "DivergedError",
     "__version__",

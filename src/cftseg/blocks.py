@@ -1,31 +1,43 @@
-"""Category-attention fusion blocks and their ablation variants.
+"""Category-attention fusion: one skeleton, one wiring per ablation variant.
 
-Each block fuses a coarse, semantically strong map `f_high` into the
-finer map `x_low` one pyramid level below it. The full block compresses
-f_high into one embedding vector per category (a spatial softmax over
-mask logits, used as mixing weights over projected features) and lets
-every x_low pixel cross-attend to those few category tokens. The
-variants swap the key/value source: raw f_high pixels, pooled pixels,
-or the pre-norm self/cross wirings used for the structure ablation.
+Each fusion step fuses a coarse, semantically strong map `f_high` into
+the finer map `x_low` one pyramid level below it. Every variant runs the
+same body: pre-norm queries attend to key/value rows, the attention
+output is added back as a residual, and a pre-norm FFN adds a second
+residual. `_WIRINGS` holds the only differences, one row per variant:
 
-All attention paths share one parameter set; the residual output
-projection and the FFN projection start at zero, so a freshly
-initialized block is the identity on x_low.
+    variant   query map          key/value rows               upsampling
+    cft       x_low              category embedding(f_high)   before
+    naive     x_low              LN(f_high) pixels            before
+    avgpool   x_low              LN(pool(f_high)) pixels      before
+    a         up(f_high)+x_low   LN(pool(query map)) pixels   before
+    b         up(f_high)         LN(pool(x_low)) pixels       before
+    c         f_high             LN(pool(x_low)) pixels       after
+
+The category embedding compresses f_high into one vector per category
+(a spatial softmax over mask logits, used as mixing weights over
+projected features), so cft's x_low pixels attend to L tokens rather
+than to every coarse pixel. "Upsampling after" runs attention at
+f_high's grid and adds its upsampled output to x_low instead of to the
+queries. Pooled maps shrink to the pyramid-top grid.
+
+All wirings share one parameter set. The output projection and the FFN
+projection start at zero, so a freshly initialized step returns the map
+its residuals start from: x_low, or the query map for a and b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm, linear, softmax)
-from .tensor import Tensor, bmm, concat, gelu, narrow, reshape, transpose
-
-VARIANTS = ("cft", "naive", "avgpool", "a", "b", "c")
+from .tensor import Tensor, bmm, gelu, reshape, transpose
 
 
 @dataclass
@@ -44,20 +56,6 @@ class NormParams:
 class DepthwiseParams:
     w: Tensor
     b: Tensor
-
-
-@dataclass
-class CategoryEmbedding:
-    """One vector per category: a B x L x C matrix plus its source stage."""
-    matrix: Tensor
-    stage: int = 0
-
-
-@dataclass
-class MaskLogits:
-    """Raw per-category spatial logits (pre-softmax), kept for the mask loss."""
-    logits: Tensor
-    stage: int = 0
 
 
 def _uniform_linear(rng, out_dim: int, in_dim: int,
@@ -204,34 +202,21 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, w_o: LinearParams, heads: int) -> T
     return linear(ctx, w_o.w, w_o.b)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor,
-                         params: CftBlockParams) -> Tensor:
-    """Single-sample attention on already projected (N, C) matrices.
-
-    Splits channels into `params.heads` contiguous slices, attends per
-    head with 1/sqrt(head_dim) scaling, concatenates, and applies the
-    output projection.
-    """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("multi_head_attention expects 2-d token matrices")
-    out = _attend(reshape(q, (1, *q.shape)), reshape(k, (1, *k.shape)),
-                  reshape(v, (1, *v.shape)), params.w_o, params.heads)
-    return reshape(out, q.shape)
-
-
 # ---------------------------------------------------------------------------
 # the category path
 
 
-def category_feature_embedding(f_high: Tensor, params: CftBlockParams,
-                               stage: int = 0) -> tuple[CategoryEmbedding, MaskLogits]:
+def category_feature_embedding(f_high: Tensor, params: CftBlockParams
+                               ) -> tuple[Tensor, Tensor]:
     """Compress a feature map into one embedding vector per category.
 
     The normalized map is projected twice: a mask head scores every
     position per category and a feature head re-mixes channels. A
     softmax over positions turns each category's scores into weights
     that average the projected features, so each embedding row is a
-    convex combination of projected-feature columns.
+    convex combination of projected-feature columns. Returns the
+    (B, L, C) embedding and the raw (B, L, H, W) mask logits, which the
+    mask loss supervises.
     """
     if params.phi_mask is None or params.phi_feat is None:
         raise ConfigError("this parameter set was built without category heads")
@@ -244,9 +229,7 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams,
     n = h * w
     num_cat = params.phi_mask.w.shape[0]
     weights = softmax(reshape(mask_logits, (b, num_cat, n)), axis=2)
-    tokens = transpose(reshape(feats, (b, c, n)), (0, 2, 1))
-    embedding = bmm(weights, tokens)
-    return CategoryEmbedding(embedding, stage), MaskLogits(mask_logits, stage)
+    return bmm(weights, _to_tokens(feats)), mask_logits
 
 
 def _ffn(tokens: Tensor, h: int, w: int, params: CftBlockParams) -> Tensor:
@@ -258,141 +241,79 @@ def _ffn(tokens: Tensor, h: int, w: int, params: CftBlockParams) -> Tensor:
     return linear(_to_tokens(spatial), params.ffn_project.w, params.ffn_project.b)
 
 
-def category_feature_transformation(x_low: Tensor,
-                                    embedding: CategoryEmbedding | Tensor,
-                                    params: CftBlockParams) -> Tensor:
-    """Let every x_low pixel cross-attend to the category embeddings.
-
-    Queries come from the normalized pixels, keys and values from the
-    embedding rows; both residual additions use the raw (unnormalized)
-    stream, so zeroed projections leave x_low untouched.
-    """
-    emb = embedding.matrix if isinstance(embedding, CategoryEmbedding) else embedding
-    b, c, h, w = x_low.shape
-    if emb.ndim != 3 or emb.shape[0] != b or emb.shape[2] != c:
-        raise ShapeError(f"embedding {emb.shape} does not match features {x_low.shape}")
-    tokens = _to_tokens(x_low)
-    queries = linear(layer_norm(tokens, params.norm_query.gamma,
-                                params.norm_query.beta, axis=2),
-                     params.w_q.w, params.w_q.b)
-    keys = linear(emb, params.w_k.w, params.w_k.b)
-    values = linear(emb, params.w_v.w, params.w_v.b)
-    attended = _attend(queries, keys, values, params.w_o, params.heads) + tokens
-    out = _ffn(attended, h, w, params) + attended
-    return _to_map(out, h, w)
-
-
-def cft_block(f_high: Tensor, x_low: Tensor, params: CftBlockParams,
-              stage: int = 0) -> tuple[Tensor, MaskLogits]:
-    """Full fusion block: embed f_high per category, transform x_low with it."""
-    embedding, masks = category_feature_embedding(f_high, params, stage)
-    return category_feature_transformation(x_low, embedding, params), masks
-
-
 # ---------------------------------------------------------------------------
-# ablation variants
-#
-# All of them reuse the same attention/FFN machinery; only the token
-# sources differ. Pooled key/value paths default their target size to
-# f_high's own grid when the caller does not pass the pyramid-top size.
+# the fusion step
 
 
-def _kv_tokens(source_map: Tensor, params: CftBlockParams) -> tuple[Tensor, Tensor]:
-    normed = layer_norm(source_map, params.norm_embed.gamma,
-                        params.norm_embed.beta, axis=1)
-    tokens = _to_tokens(normed)
-    return (linear(tokens, params.w_k.w, params.w_k.b),
-            linear(tokens, params.w_v.w, params.w_v.b))
+def _up(f_high: Tensor, x_low: Tensor) -> Tensor:
+    return bilinear_resize(f_high, *x_low.shape[2:])
 
 
-def _query_tokens(source_tokens: Tensor, params: CftBlockParams) -> Tensor:
-    return linear(layer_norm(source_tokens, params.norm_query.gamma,
-                             params.norm_query.beta, axis=2),
-                  params.w_q.w, params.w_q.b)
+@dataclass(frozen=True)
+class _Wiring:
+    """Where one variant draws its queries and keys/values from.
 
-
-def variant_naive(f_high: Tensor, x_low: Tensor, params: CftBlockParams) -> Tensor:
-    """Cross-attention with every f_high pixel as a key/value token."""
-    b, c, h, w = x_low.shape
-    tokens = _to_tokens(x_low)
-    keys, values = _kv_tokens(f_high, params)
-    attended = _attend(_query_tokens(tokens, params), keys, values,
-                       params.w_o, params.heads) + tokens
-    out = _ffn(attended, h, w, params) + attended
-    return _to_map(out, h, w)
-
-
-def variant_avgpool(f_high: Tensor, x_low: Tensor, params: CftBlockParams,
-                    kv_pool_hw: tuple[int, int] | None = None) -> Tensor:
-    """Like naive, but key/value pixels are adaptively pooled first."""
-    ph, pw = kv_pool_hw if kv_pool_hw is not None else f_high.shape[2:]
-    return variant_naive(adaptive_avg_pool(f_high, ph, pw), x_low, params)
-
-
-def variant_a(f_high: Tensor, x_low: Tensor, params: CftBlockParams,
-              kv_pool_hw: tuple[int, int] | None = None) -> Tensor:
-    """Upsample-and-add first, then self-attention with pooled keys/values."""
-    b, c, h, w = x_low.shape
-    ph, pw = kv_pool_hw if kv_pool_hw is not None else f_high.shape[2:]
-    summed = bilinear_resize(f_high, h, w) + x_low
-    tokens = _to_tokens(summed)
-    keys, values = _kv_tokens(adaptive_avg_pool(summed, ph, pw), params)
-    attended = _attend(_query_tokens(tokens, params), keys, values,
-                       params.w_o, params.heads) + tokens
-    out = _ffn(attended, h, w, params) + attended
-    return _to_map(out, h, w)
-
-
-def variant_b(f_high: Tensor, x_low: Tensor, params: CftBlockParams,
-              kv_pool_hw: tuple[int, int] | None = None) -> Tensor:
-    """Upsampled f_high queries attend to pooled x_low keys/values."""
-    b, c, h, w = x_low.shape
-    ph, pw = kv_pool_hw if kv_pool_hw is not None else f_high.shape[2:]
-    up = bilinear_resize(f_high, h, w)
-    tokens = _to_tokens(up)
-    keys, values = _kv_tokens(adaptive_avg_pool(x_low, ph, pw), params)
-    attended = _attend(_query_tokens(tokens, params), keys, values,
-                       params.w_o, params.heads) + tokens
-    out = _ffn(attended, h, w, params) + attended
-    return _to_map(out, h, w)
-
-
-def variant_c(f_high: Tensor, x_low: Tensor, params: CftBlockParams,
-              kv_pool_hw: tuple[int, int] | None = None) -> Tensor:
-    """Variant b with the upsampling moved after attention.
-
-    Attention runs at f_high's resolution; its output is upsampled and
-    added to x_low, then the usual FFN residual follows.
+    `query(f_high, x_low)` is the query map. `kv(f_high, x_low, query
+    map)` is the map whose normalized pixels become key/value rows,
+    pooled first when `pool` is set; `kv=None` takes the category
+    embedding of f_high instead.
     """
-    b, c, h, w = x_low.shape
-    hs, ws = f_high.shape[2:]
-    ph, pw = kv_pool_hw if kv_pool_hw is not None else (hs, ws)
-    tokens = _to_tokens(f_high)
-    keys, values = _kv_tokens(adaptive_avg_pool(x_low, ph, pw), params)
-    attended = _attend(_query_tokens(tokens, params), keys, values,
-                       params.w_o, params.heads)
-    merged = bilinear_resize(_to_map(attended, hs, ws), h, w) + x_low
-    merged_tokens = _to_tokens(merged)
-    out = _ffn(merged_tokens, h, w, params) + merged_tokens
-    return _to_map(out, h, w)
+
+    query: Callable[[Tensor, Tensor], Tensor]
+    kv: Callable[[Tensor, Tensor, Tensor], Tensor] | None
+    pool: bool = False
+    upsample_after: bool = False
+
+
+_WIRINGS = {
+    "cft": _Wiring(query=lambda f, x: x, kv=None),
+    "naive": _Wiring(query=lambda f, x: x, kv=lambda f, x, q: f),
+    "avgpool": _Wiring(query=lambda f, x: x, kv=lambda f, x, q: f, pool=True),
+    "a": _Wiring(query=lambda f, x: _up(f, x) + x, kv=lambda f, x, q: q, pool=True),
+    "b": _Wiring(query=_up, kv=lambda f, x, q: x, pool=True),
+    "c": _Wiring(query=lambda f, x: f, kv=lambda f, x, q: x, pool=True,
+                 upsample_after=True),
+}
+
+VARIANTS = tuple(_WIRINGS)
 
 
 def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
-                  params: CftBlockParams, stage: int = 0,
-                  kv_pool_hw: tuple[int, int] | None = None
-                  ) -> tuple[Tensor, MaskLogits | None]:
-    """Dispatch one fusion step; only the category variant yields masks."""
-    if variant == "cft":
-        out, masks = cft_block(f_high, x_low, params, stage)
-        return out, masks
-    if variant == "naive":
-        return variant_naive(f_high, x_low, params), None
-    if variant == "avgpool":
-        return variant_avgpool(f_high, x_low, params, kv_pool_hw), None
-    if variant == "a":
-        return variant_a(f_high, x_low, params, kv_pool_hw), None
-    if variant == "b":
-        return variant_b(f_high, x_low, params, kv_pool_hw), None
-    if variant == "c":
-        return variant_c(f_high, x_low, params, kv_pool_hw), None
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+                  params: CftBlockParams, *, stage: int,
+                  kv_pool_hw: tuple[int, int]) -> tuple[Tensor, Tensor | None]:
+    """One fusion step wired as `variant`; returns (fused map, mask logits).
+
+    The fused map has x_low's shape. Only "cft" yields mask logits; the
+    other variants return None. Pooled key/value maps shrink to
+    `kv_pool_hw`. `stage` is f_high's pyramid level (x_low's plus one);
+    it names the step for callers that trace it and does not change the
+    result.
+    """
+    wiring = _WIRINGS.get(variant)
+    if wiring is None:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _, _, h, w = x_low.shape
+    query_map = wiring.query(f_high, x_low)
+    mask_logits = None
+    if wiring.kv is None:
+        kv_rows, mask_logits = category_feature_embedding(f_high, params)
+    else:
+        source = wiring.kv(f_high, x_low, query_map)
+        if wiring.pool:
+            source = adaptive_avg_pool(source, *kv_pool_hw)
+        kv_rows = _to_tokens(layer_norm(source, params.norm_embed.gamma,
+                                        params.norm_embed.beta, axis=1))
+    tokens = _to_tokens(query_map)
+    queries = linear(layer_norm(tokens, params.norm_query.gamma,
+                                params.norm_query.beta, axis=2),
+                     params.w_q.w, params.w_q.b)
+    attended = _attend(queries, linear(kv_rows, params.w_k.w, params.w_k.b),
+                       linear(kv_rows, params.w_v.w, params.w_v.b),
+                       params.w_o, params.heads)
+    if wiring.upsample_after:
+        hs, ws = query_map.shape[2:]
+        attended = _to_tokens(bilinear_resize(_to_map(attended, hs, ws), h, w) + x_low)
+    else:
+        attended = attended + tokens
+    out = _ffn(attended, h, w, params) + attended
+    return _to_map(out, h, w), mask_logits

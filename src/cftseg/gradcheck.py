@@ -15,17 +15,20 @@ import numpy as np
 from .tensor import Array, Tensor, backward, no_grad
 
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> Array:
+def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4,
+                     coords: Sequence[int] | None = None) -> Array:
     """Central-difference gradient of a scalar-valued function at x.
 
-    Evaluates f twice per coordinate with the coordinate displaced by
-    +/- h, temporarily rewriting x's storage and restoring it exactly.
+    Evaluates f twice per probed coordinate with the coordinate displaced
+    by +/- h, temporarily rewriting x's storage and restoring it exactly.
+    `coords` lists the flat indices to probe (all by default); entries
+    left unprobed are zero.
     """
     original = x.data.copy()
     flat = x.data.reshape(-1)
     grad = np.zeros_like(flat)
     with no_grad():
-        for j in range(flat.size):
+        for j in range(flat.size) if coords is None else coords:
             saved = flat[j]
             flat[j] = saved + h
             up = f(x).item()
@@ -76,17 +79,7 @@ def check_gradients(loss_fn: Callable[[], Tensor],
         n = p.size if p.size <= coords_per_tensor else coords_per_tensor
         coords = (np.arange(p.size) if p.size <= coords_per_tensor
                   else rng.choice(p.size, size=n, replace=False))
-        worst = 0.0
-        flat = p.data.reshape(-1)
-        with no_grad():
-            for j in coords:
-                saved = flat[j]
-                flat[j] = saved + h
-                up = loss_fn().item()
-                flat[j] = saved - h
-                down = loss_fn().item()
-                flat[j] = saved
-                numeric = (up - down) / (2.0 * h)
-                worst = max(worst, max_rel_error(analytic[j], numeric))
-        rows.append(GradCheckRow(name, int(n), worst))
+        numeric = finite_diff_grad(lambda _: loss_fn(), p, h, coords).reshape(-1)
+        rows.append(GradCheckRow(name, int(n),
+                                 max_rel_error(analytic[coords], numeric[coords])))
     return rows

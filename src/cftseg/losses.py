@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import MaskLogits
 from .errors import ShapeError
 from .functional import bilinear_resize, log_softmax
 from .tensor import Tensor, logsigmoid, neg, power, sigmoid
@@ -108,7 +107,7 @@ def build_mask_targets(labels: np.ndarray, num_categories: int,
     return one_hot(small, num_categories)
 
 
-def sum_masks_orderly(masks: Sequence[MaskLogits],
+def sum_masks_orderly(masks: Sequence[Tensor],
                       mode: str = "cumulative") -> list[Tensor]:
     """Resize stage mask logits to the finest grid and accumulate in order.
 
@@ -120,8 +119,8 @@ def sum_masks_orderly(masks: Sequence[MaskLogits],
         raise ValueError(f"unknown mask sum mode {mode!r}")
     if not masks:
         raise ValueError("sum_masks_orderly needs at least one mask")
-    _, _, out_h, out_w = masks[-1].logits.shape
-    resized = [bilinear_resize(m.logits, out_h, out_w) for m in masks]
+    _, _, out_h, out_w = masks[-1].shape
+    resized = [bilinear_resize(m, out_h, out_w) for m in masks]
     sums = [resized[0]]
     for r in resized[1:]:
         sums.append(sums[-1] + r)
@@ -178,7 +177,7 @@ def focal_loss(mask_logits: Tensor, target: np.ndarray,
     return weighted.mean()
 
 
-def total_loss(logits: Tensor, masks: Sequence[MaskLogits], labels: np.ndarray,
+def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
                mask_mode: str = "cumulative") -> LossBreakdown:
     """Compose the full objective: ce + 2*dice + 5*focal."""
     if mask_mode not in MASK_LOSS_MODES:

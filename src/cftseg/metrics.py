@@ -38,12 +38,6 @@ class ConfusionMatrix:
         binned = np.bincount(joint, minlength=self.num_categories ** 2)
         self.counts += binned.reshape(self.num_categories, self.num_categories)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_categories != self.num_categories:
-            raise ValueError("category counts differ")
-        self.counts += other.counts
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

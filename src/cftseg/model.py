@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .blocks import (CftBlockParams, DepthwiseParams, LinearParams, MaskLogits,
-                     VARIANTS, _uniform_linear, apply_variant)
+from .blocks import (CftBlockParams, DepthwiseParams, LinearParams, VARIANTS,
+                     _uniform_linear, apply_variant)
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
@@ -47,22 +47,6 @@ class ModelConfig:
 
 
 @dataclass
-class FeaturePyramid:
-    """Stage maps ordered fine to coarse (1/4 ... 1/32 of the input)."""
-
-    stages: tuple[Tensor, ...]
-
-    def __iter__(self):
-        return iter(self.stages)
-
-    def __getitem__(self, i) -> Tensor:
-        return self.stages[i]
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-
-@dataclass
 class StageParams:
     conv: LinearParams
     dw: DepthwiseParams
@@ -90,11 +74,12 @@ def _standardize_channels(x: Tensor) -> Tensor:
     return layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), axis=1)
 
 
-def toy_backbone(images: Tensor, stages: Sequence[StageParams]) -> FeaturePyramid:
+def toy_backbone(images: Tensor, stages: Sequence[StageParams]) -> tuple[Tensor, ...]:
     """Stride-2 feature extractor: pool, channel mix, depthwise, gelu per stage.
 
-    The input must be divisible by 32 so every stage lands on an exact
-    grid.
+    Returns the stage maps ordered fine to coarse (1/4 ... 1/32 of the
+    input). The input must be divisible by 32 so every stage lands on an
+    exact grid.
     """
     if images.ndim != 4:
         raise ShapeError(f"expected B x C x H x W images, got {images.shape}")
@@ -110,10 +95,10 @@ def toy_backbone(images: Tensor, stages: Sequence[StageParams]) -> FeaturePyrami
         current = gelu(depthwise_conv3x3(current, sp.dw.w, sp.dw.b))
         current = _standardize_channels(current)
         feats.append(current)
-    return FeaturePyramid(tuple(feats))
+    return tuple(feats)
 
 
-def lateral_project(pyramid: FeaturePyramid,
+def lateral_project(pyramid: Sequence[Tensor],
                     laterals: Sequence[LinearParams]) -> list[Tensor]:
     """Bring every stage to the shared embedding width with 1x1 convs."""
     if len(laterals) != len(pyramid):
@@ -123,15 +108,12 @@ def lateral_project(pyramid: FeaturePyramid,
 
 def top_down_aggregate(laterals: Sequence[Tensor],
                        blocks: Sequence[CftBlockParams],
-                       variant: str = "cft",
-                       context_fn: Callable[[Tensor], Tensor] | None = None
-                       ) -> tuple[list[Tensor], list[MaskLogits]]:
+                       variant: str = "cft") -> tuple[list[Tensor], list[Tensor]]:
     """Fuse coarse into fine, one block per boundary, coarsest first.
 
-    The top stage passes through `context_fn` (identity by default).
-    With variant "none" the laterals are returned untouched. Mask
-    logits, when the variant produces them, come back ordered coarse to
-    fine (stages 4, 3, 2).
+    The top stage passes through unchanged. With variant "none" the
+    laterals are returned untouched. Mask logits, when the variant
+    produces them, come back ordered coarse to fine (stages 4, 3, 2).
     """
     if len(laterals) != NUM_STAGES:
         raise ConfigError(f"expected {NUM_STAGES} lateral maps, got {len(laterals)}")
@@ -142,10 +124,10 @@ def top_down_aggregate(laterals: Sequence[Tensor],
     if len(blocks) != NUM_STAGES - 1:
         raise ConfigError(f"expected {NUM_STAGES - 1} fusion blocks, got {len(blocks)}")
     pool_hw = laterals[-1].shape[2:]
-    current = context_fn(laterals[-1]) if context_fn is not None else laterals[-1]
+    current = laterals[-1]
     feats: list[Tensor | None] = [None] * NUM_STAGES
     feats[-1] = current
-    masks: list[MaskLogits] = []
+    masks: list[Tensor] = []
     for i in range(NUM_STAGES - 2, -1, -1):
         current, stage_masks = apply_variant(variant, current, laterals[i],
                                              blocks[NUM_STAGES - 2 - i],
@@ -193,7 +175,7 @@ class SegModel:
                 for _ in range(NUM_STAGES - 1)]
         self.classifier = _uniform_linear(rng, config.num_categories, NUM_STAGES * c)
 
-    def forward(self, images: Tensor) -> tuple[Tensor, list[MaskLogits]]:
+    def forward(self, images: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Full-resolution logits plus any per-stage mask logits."""
         _, _, h, w = images.shape
         pyramid = toy_backbone(images, self.backbone)
@@ -201,7 +183,7 @@ class SegModel:
         feats, masks = top_down_aggregate(lats, self.blocks, self.variant)
         return decode_head(feats, self.classifier, h, w), masks
 
-    def __call__(self, images: Tensor) -> tuple[Tensor, list[MaskLogits]]:
+    def __call__(self, images: Tensor) -> tuple[Tensor, list[Tensor]]:
         return self.forward(images)
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -2,7 +2,7 @@
 
 Operations execute eagerly on numpy arrays. When gradients are enabled,
 every op leaves an `OpRecord` behind; `backward` collects the records
-reachable from a scalar loss into a topologically ordered `Tape` and
+reachable from a scalar loss into a topologically ordered list and
 replays it in reverse, accumulating gradients in a fixed order so the
 result is bit-reproducible for a given graph.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,21 +60,6 @@ class OpRecord:
 
     def __repr__(self):
         return f"OpRecord({self.op}, n_inputs={len(self.inputs)})"
-
-
-class Tape:
-    """Op records in topological order: inputs precede their consumers."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: list[OpRecord]):
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[OpRecord]:
-        return iter(self.records)
 
 
 class Tensor:
@@ -167,14 +152,6 @@ class Tensor:
         return reduce_mean(self, axis, keepdims)
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
 def _as_scalar(x) -> float | None:
     if isinstance(x, (int, float, np.integer, np.floating)):
         return float(x)
@@ -222,11 +199,6 @@ def mul(a: Tensor, b) -> Tensor:
     _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
     return Tensor._result(ad * bd, (a, b), "mul", lambda g: (g * bd, g * ad))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar."""
-    return mul(a, float(s))
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -382,24 +354,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                           tensors, "concat", bwd)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` entries along `axis` starting at `start`."""
-    axis = axis % a.ndim
-    if start < 0 or length < 1 or start + length > a.shape[axis]:
-        raise ShapeError(f"narrow: [{start}:{start + length}] is outside axis {axis} "
-                         f"of shape {a.shape}")
-    idx = tuple(slice(None) if d != axis else slice(start, start + length)
-                for d in range(a.ndim))
-    shape = a.shape
-
-    def bwd(g):
-        full = np.zeros(shape)
-        full[idx] = g
-        return (full,)
-
-    return Tensor._result(np.ascontiguousarray(a.data[idx]), (a,), "narrow", bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -445,8 +399,9 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # backward
 
 
-def trace(loss: Tensor) -> Tape:
-    """Collect the records reachable from `loss` in topological order."""
+def trace(loss: Tensor) -> list[OpRecord]:
+    """Collect the records reachable from `loss` in topological order:
+    every record comes after the records of its inputs."""
     records: list[OpRecord] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -461,7 +416,7 @@ def trace(loss: Tensor) -> Tape:
         stack.append((t, True))
         for inp in reversed(t.op.inputs):
             stack.append((inp, False))
-    return Tape(records)
+    return records
 
 
 def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tensor, Array]:
@@ -480,7 +435,7 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
     leaf_grads: dict[Tensor, Array] = {}
     if loss.op is None and loss.requires_grad:
         leaf_grads[loss] = grads[id(loss)]
-    for rec in reversed(tape.records):
+    for rec in reversed(tape):
         g = grads.pop(id(rec.out), None)
         if g is None:
             continue

@@ -185,11 +185,11 @@ def mask_agreement(model: SegModel, dataset: Dataset) -> float | None:
     for _, masks, labels in _forward_batches(model, dataset):
         for mask in masks:
             saw_masks = True
-            _, _, h, w = mask.logits.shape
+            _, _, h, w = mask.shape
             rows_idx = nearest_indices(labels.shape[1], h)
             cols_idx = nearest_indices(labels.shape[2], w)
             target = labels[:, rows_idx[:, None], cols_idx[None, :]]
-            pred = np.argmax(mask.logits.data, axis=1)
+            pred = np.argmax(mask.data, axis=1)
             matched += int((pred == target).sum())
             scored += target.size
     if not saw_masks:

@@ -52,8 +52,8 @@ def test_mask_normalization():
         params = make_block(seed=trial)
         f = Tensor(rng.standard_normal((2, 8, 4, 5)) * rng.uniform(0.2, 5.0))
         _, masks = B.category_feature_embedding(f, params)
-        b, l, h, w = masks.logits.shape
-        weights = F.softmax(masks.logits.reshape((b, l, h * w)), axis=2)
+        b, l, h, w = masks.shape
+        weights = F.softmax(masks.reshape((b, l, h * w)), axis=2)
         worst = max(worst, float(np.abs(weights.data.sum(axis=2) - 1.0).max()))
     check("mask-normalization", worst < 1e-6,
           f"100 inputs, worst |sum-1| {worst:.1e}")
@@ -72,7 +72,7 @@ def test_convex_hull():
         flat = projected.reshape(2, 8, -1)
         lo = flat.min(axis=2) - 1e-12
         hi = flat.max(axis=2) + 1e-12
-        rows = emb.matrix.data
+        rows = emb.data
         ok = ok and bool(np.all(rows >= lo[:, None, :]) and
                          np.all(rows <= hi[:, None, :]))
     check("convex-hull", ok, "100 trials, per-channel min/max bounds")
@@ -88,7 +88,7 @@ def test_joint_permutation_invariance():
         perm = rng.permutation(24)
         shuffled = f.reshape(2, 8, 24)[:, :, perm].reshape(2, 8, 4, 6)
         emb, _ = B.category_feature_embedding(Tensor(shuffled), params)
-        worst = max(worst, float(np.abs(emb.matrix.data - base.matrix.data).max()))
+        worst = max(worst, float(np.abs(emb.data - base.data).max()))
     check("joint-permutation-invariance", worst < 1e-9,
           f"20 permutations, worst drift {worst:.1e}")
 
@@ -100,7 +100,8 @@ def test_residual_identity():
         params = make_block(seed=seed, zero=True)
         f_high = Tensor(rng.standard_normal((2, 8, 3, 3)))
         x_low = Tensor(rng.standard_normal((2, 8, 6, 6)))
-        out, _ = B.cft_block(f_high, x_low, params)
+        out, _ = B.apply_variant("cft", f_high, x_low, params, stage=2,
+                                 kv_pool_hw=(3, 3))
         ok = ok and np.array_equal(out.data, x_low.data)
     check("residual-identity", ok, "zeroed projections, 5 fresh blocks")
 
@@ -117,29 +118,20 @@ def test_oracle_equivalence():
         f_high = rng.standard_normal((b, c) + hi)
         x_low = rng.standard_normal((b, c) + lo)
         pool = (2, 2)
-        pairs = [
-            ("cft", B.cft_block(Tensor(f_high), Tensor(x_low), params)[0].data,
-             np.stack([O.cft_block_o(f_high[i], x_low[i], params)[0]
-                       for i in range(b)])),
-            ("naive", B.variant_naive(Tensor(f_high), Tensor(x_low), params).data,
-             np.stack([O.variant_naive_o(f_high[i], x_low[i], params)
-                       for i in range(b)])),
-            ("avgpool",
-             B.variant_avgpool(Tensor(f_high), Tensor(x_low), params, pool).data,
-             np.stack([O.variant_avgpool_o(f_high[i], x_low[i], params, pool)
-                       for i in range(b)])),
-            ("a", B.variant_a(Tensor(f_high), Tensor(x_low), params, pool).data,
-             np.stack([O.variant_a_o(f_high[i], x_low[i], params, pool)
-                       for i in range(b)])),
-            ("b", B.variant_b(Tensor(f_high), Tensor(x_low), params, pool).data,
-             np.stack([O.variant_b_o(f_high[i], x_low[i], params, pool)
-                       for i in range(b)])),
-            ("c", B.variant_c(Tensor(f_high), Tensor(x_low), params, pool).data,
-             np.stack([O.variant_c_o(f_high[i], x_low[i], params, pool)
-                       for i in range(b)])),
-        ]
-        for _, got, want in pairs:
-            worst = max(worst, float(np.abs(got - want).max()))
+        oracles = {
+            "cft": lambda f, x: O.cft_block_o(f, x, params)[0],
+            "naive": lambda f, x: O.variant_naive_o(f, x, params),
+            "avgpool": lambda f, x: O.variant_avgpool_o(f, x, params, pool),
+            "a": lambda f, x: O.variant_a_o(f, x, params, pool),
+            "b": lambda f, x: O.variant_b_o(f, x, params, pool),
+            "c": lambda f, x: O.variant_c_o(f, x, params, pool),
+        }
+        assert set(oracles) == set(B.VARIANTS)
+        for variant, oracle in oracles.items():
+            got, _ = B.apply_variant(variant, Tensor(f_high), Tensor(x_low), params,
+                                     stage=2, kv_pool_hw=pool)
+            want = np.stack([oracle(f_high[i], x_low[i]) for i in range(b)])
+            worst = max(worst, float(np.abs(got.data - want).max()))
     check("oracle-equivalence", worst <= 1e-10,
           f"6 wirings x 2 shapes, worst |diff| {worst:.1e}")
 

@@ -23,6 +23,16 @@ def rand_map(rng, b, c, h, w):
     return Tensor(rng.standard_normal((b, c, h, w)))
 
 
+def fuse(variant, f_high, x_low, params, pool_hw=(2, 2)):
+    return B.apply_variant(variant, f_high, x_low, params, stage=2, kv_pool_hw=pool_hw)
+
+
+def attend(q, k, v, params):
+    """Attention of one sample's (N, C) query, key and value arrays."""
+    return B._attend(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]),
+                     params.w_o, params.heads).data[0]
+
+
 # --------------------------------------------------------------------------
 # category feature embedding
 
@@ -32,7 +42,7 @@ def test_mask_weights_sum_to_one_per_category():
     params = make_params()
     f = rand_map(rng, 2, 8, 4, 5)
     emb, masks = B.category_feature_embedding(f, params)
-    weights = F.softmax(masks.logits.reshape((2, 3, 20)), axis=2).data
+    weights = F.softmax(masks.reshape((2, 3, 20)), axis=2).data
     np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-6)
 
 
@@ -43,8 +53,8 @@ def test_embedding_matches_weighted_average_oracle():
     emb, masks = B.category_feature_embedding(f, params)
     for n in range(2):
         want_emb, want_masks = oracles.embedding_o(f.data[n], params)
-        np.testing.assert_allclose(emb.matrix.data[n], want_emb, atol=1e-10)
-        np.testing.assert_allclose(masks.logits.data[n], want_masks, atol=1e-10)
+        np.testing.assert_allclose(emb.data[n], want_emb, atol=1e-10)
+        np.testing.assert_allclose(masks.data[n], want_masks, atol=1e-10)
 
 
 def test_zero_mask_head_gives_spatial_mean_embedding():
@@ -57,7 +67,7 @@ def test_zero_mask_head_gives_spatial_mean_embedding():
     projected = F.conv1x1(normed, params.phi_feat.w, params.phi_feat.b)
     mean_feat = projected.data[0].reshape(8, -1).mean(axis=1)
     for l in range(3):
-        np.testing.assert_allclose(emb.matrix.data[0, l], mean_feat, atol=1e-12)
+        np.testing.assert_allclose(emb.data[0, l], mean_feat, atol=1e-12)
 
 
 def test_embedding_rows_stay_inside_projected_feature_hull():
@@ -72,8 +82,8 @@ def test_embedding_rows_stay_inside_projected_feature_hull():
     hi = flat.max(axis=2) + 1e-12
     for n in range(2):
         for l in range(3):
-            assert np.all(emb.matrix.data[n, l] >= lo[n])
-            assert np.all(emb.matrix.data[n, l] <= hi[n])
+            assert np.all(emb.data[n, l] >= lo[n])
+            assert np.all(emb.data[n, l] <= hi[n])
 
 
 def test_embedding_invariant_under_spatial_permutation():
@@ -84,7 +94,7 @@ def test_embedding_invariant_under_spatial_permutation():
     f_perm = f.reshape(1, 8, 24)[:, :, perm].reshape(1, 8, 4, 6)
     emb_a, _ = B.category_feature_embedding(Tensor(f), params)
     emb_b, _ = B.category_feature_embedding(Tensor(f_perm), params)
-    np.testing.assert_allclose(emb_a.matrix.data, emb_b.matrix.data, atol=1e-9)
+    np.testing.assert_allclose(emb_a.data, emb_b.data, atol=1e-9)
 
 
 def test_embedding_token_count_is_category_count():
@@ -92,8 +102,8 @@ def test_embedding_token_count_is_category_count():
     params = make_params(num_categories=3)
     for h, w in ((2, 2), (6, 7), (9, 3)):
         emb, masks = B.category_feature_embedding(rand_map(rng, 1, 8, h, w), params)
-        assert emb.matrix.shape == (1, 3, 8)
-        assert masks.logits.shape == (1, 3, h, w)
+        assert emb.shape == (1, 3, 8)
+        assert masks.shape == (1, 3, h, w)
 
 
 def test_embedding_requires_category_heads():
@@ -114,7 +124,7 @@ def test_single_head_identity_projection_is_classic_attention():
     q = rng.standard_normal((5, 8))
     k = rng.standard_normal((3, 8))
     v = rng.standard_normal((3, 8))
-    got = B.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), params).data
+    got = attend(q, k, v, params)
     scores = q @ k.T / np.sqrt(8.0)
     w = np.exp(scores - scores.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
@@ -127,7 +137,7 @@ def test_multi_head_equals_per_head_slices_concatenated():
     q = rng.standard_normal((6, 8))
     k = rng.standard_normal((4, 8))
     v = rng.standard_normal((4, 8))
-    got = B.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), params).data
+    got = attend(q, k, v, params)
     want = oracles.mha_o(q, k, v, params)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -140,17 +150,17 @@ def test_identical_keys_average_the_values():
     q = rng.standard_normal((4, 8))
     k = np.tile(rng.standard_normal((1, 8)), (5, 1))
     v = rng.standard_normal((5, 8))
-    got = B.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), params).data
+    got = attend(q, k, v, params)
     np.testing.assert_allclose(got, np.tile(v.mean(axis=0), (4, 1)), atol=1e-12)
 
 
 def test_attention_gradients_reach_all_operands():
     rng = np.random.default_rng(9)
     params = make_params(heads=2, seed=18)
-    q = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
-    k = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-    v = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-    grads = backward(B.multi_head_attention(q, k, v, params).sum())
+    q = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
+    k = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
+    v = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
+    grads = backward(B._attend(q, k, v, params.w_o, params.heads).sum())
     for t in (q, k, v):
         assert np.abs(grads[t]).max() > 0
 
@@ -170,7 +180,7 @@ def test_fresh_block_is_exact_identity_on_x_low():
     params = make_params(zero_residual_paths=True, seed=19)
     f_high = rand_map(rng, 2, 8, 2, 3)
     x_low = rand_map(rng, 2, 8, 4, 6)
-    out, _ = B.cft_block(f_high, x_low, params)
+    out, _ = fuse("cft", f_high, x_low, params)
     np.testing.assert_array_equal(out.data, x_low.data)
 
 
@@ -181,10 +191,10 @@ def test_attention_is_pointwise_in_queries_before_ffn():
     params.ffn_project.b.data[...] = 0.0
     f_high = rand_map(rng, 1, 8, 2, 2)
     x = rng.standard_normal((1, 8, 3, 4))
-    base, _ = B.cft_block(f_high, Tensor(x), params)
+    base, _ = fuse("cft", f_high, Tensor(x), params)
     bumped = x.copy()
     bumped[0, :, 1, 2] += rng.standard_normal(8)
-    out, _ = B.cft_block(f_high, Tensor(bumped), params)
+    out, _ = fuse("cft", f_high, Tensor(bumped), params)
     delta = np.abs(out.data - base.data).max(axis=1)[0]
     changed = delta > 1e-12
     assert changed[1, 2]
@@ -196,11 +206,11 @@ def test_cft_block_matches_composed_oracle():
     params = make_params(seed=21)
     f_high = rng.standard_normal((2, 8, 3, 3))
     x_low = rng.standard_normal((2, 8, 6, 6))
-    out, masks = B.cft_block(Tensor(f_high), Tensor(x_low), params)
+    out, masks = fuse("cft", Tensor(f_high), Tensor(x_low), params)
     for n in range(2):
         want, want_masks = oracles.cft_block_o(f_high[n], x_low[n], params)
         np.testing.assert_allclose(out.data[n], want, atol=1e-10)
-        np.testing.assert_allclose(masks.logits.data[n], want_masks, atol=1e-10)
+        np.testing.assert_allclose(masks.data[n], want_masks, atol=1e-10)
 
 
 def test_block_gradients_spot_check():
@@ -211,8 +221,8 @@ def test_block_gradients_spot_check():
     proj = Tensor(rng.standard_normal((1, 4, 3, 3)))
 
     def loss_fn():
-        out, masks = B.cft_block(f_high, x_low, params)
-        return (out * proj).sum() + (masks.logits * masks.logits).mean()
+        out, masks = fuse("cft", f_high, x_low, params)
+        return (out * proj).sum() + (masks * masks).mean()
 
     from cftseg.gradcheck import check_gradients
     rows = check_gradients(loss_fn, params.named("blk"), coords_per_tensor=3, seed=1)
@@ -229,7 +239,7 @@ def test_variant_naive_matches_oracle():
     params = make_params(seed=23, with_category=False)
     f_high = rng.standard_normal((2, 8, 3, 3))
     x_low = rng.standard_normal((2, 8, 6, 6))
-    out = B.variant_naive(Tensor(f_high), Tensor(x_low), params)
+    out, _ = fuse("naive", Tensor(f_high), Tensor(x_low), params)
     for n in range(2):
         np.testing.assert_allclose(out.data[n],
                                    oracles.variant_naive_o(f_high[n], x_low[n], params),
@@ -245,8 +255,8 @@ def test_variant_naive_single_source_pixel_equals_one_category_path():
     params.phi_feat.b.data[...] = 0.0
     f_high = rand_map(rng, 1, 8, 1, 1)
     x_low = rand_map(rng, 1, 8, 3, 3)
-    via_naive = B.variant_naive(f_high, x_low, params)
-    via_category, _ = B.cft_block(f_high, x_low, params)
+    via_naive, _ = fuse("naive", f_high, x_low, params)
+    via_category, _ = fuse("cft", f_high, x_low, params)
     np.testing.assert_allclose(via_naive.data, via_category.data, atol=1e-12)
 
 
@@ -256,7 +266,7 @@ def test_variant_avgpool_matches_oracle(pool_hw):
     params = make_params(seed=25, with_category=False)
     f_high = rng.standard_normal((1, 8, 3, 3))
     x_low = rng.standard_normal((1, 8, 6, 6))
-    out = B.variant_avgpool(Tensor(f_high), Tensor(x_low), params, pool_hw)
+    out, _ = fuse("avgpool", Tensor(f_high), Tensor(x_low), params, pool_hw)
     np.testing.assert_allclose(out.data[0],
                                oracles.variant_avgpool_o(f_high[0], x_low[0], params, pool_hw),
                                atol=1e-10)
@@ -267,8 +277,8 @@ def test_variant_avgpool_full_size_pool_equals_naive():
     params = make_params(seed=26, with_category=False)
     f_high = rand_map(rng, 2, 8, 3, 4)
     x_low = rand_map(rng, 2, 8, 6, 8)
-    pooled = B.variant_avgpool(f_high, x_low, params, (3, 4))
-    naive = B.variant_naive(f_high, x_low, params)
+    pooled, _ = fuse("avgpool", f_high, x_low, params, (3, 4))
+    naive, _ = fuse("naive", f_high, x_low, params)
     np.testing.assert_allclose(pooled.data, naive.data, atol=1e-12)
 
 
@@ -277,7 +287,7 @@ def test_variant_a_zero_paths_is_plain_upsample_add():
     params = make_params(zero_residual_paths=True, seed=27, with_category=False)
     f_high = rand_map(rng, 1, 8, 2, 2)
     x_low = rand_map(rng, 1, 8, 4, 4)
-    out = B.variant_a(f_high, x_low, params, (2, 2))
+    out, _ = fuse("a", f_high, x_low, params)
     want = F.bilinear_resize(f_high, 4, 4).data + x_low.data
     np.testing.assert_array_equal(out.data, want)
 
@@ -292,8 +302,8 @@ def test_structure_variants_match_oracles(variant, oracle):
     params = make_params(seed=28, with_category=False)
     f_high = rng.standard_normal((2, 8, 3, 3))
     x_low = rng.standard_normal((2, 8, 6, 6))
-    out, _ = B.apply_variant(variant, Tensor(f_high), Tensor(x_low), params,
-                             kv_pool_hw=(2, 2))
+    out, masks = fuse(variant, Tensor(f_high), Tensor(x_low), params)
+    assert masks is None
     for n in range(2):
         np.testing.assert_allclose(out.data[n],
                                    oracle(f_high[n], x_low[n], params, (2, 2)),
@@ -307,7 +317,7 @@ def test_variant_b_single_pooled_key_broadcasts_one_vector():
     params.ffn_project.b.data[...] = 0.0
     f_high = rand_map(rng, 1, 8, 2, 2)
     x_low = rand_map(rng, 1, 8, 4, 4)
-    out = B.variant_b(f_high, x_low, params, (1, 1))
+    out, _ = fuse("b", f_high, x_low, params, (1, 1))
     up = F.bilinear_resize(f_high, 4, 4).data
     attended = (out.data - up)[0].reshape(8, -1).T
     np.testing.assert_allclose(attended, np.tile(attended[0], (16, 1)), atol=1e-12)
@@ -317,7 +327,7 @@ def test_apply_variant_rejects_unknown_name():
     params = make_params(with_category=False)
     x = Tensor(np.zeros((1, 8, 2, 2)))
     with pytest.raises(ConfigError):
-        B.apply_variant("fancy", x, x, params)
+        fuse("fancy", x, x, params)
 
 
 def test_variant_params_have_no_category_heads():

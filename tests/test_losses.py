@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor
-from cftseg.blocks import MaskLogits
 from cftseg.errors import ShapeError
 import cftseg.functional as F
 import cftseg.gradcheck as G
@@ -130,20 +129,18 @@ class TestMaskTargets:
 class TestSumMasksOrderly:
     @staticmethod
     def stack(rng, sizes, l=3, b=2):
-        stages = (4, 3, 2)
-        return [MaskLogits(Tensor(rng.standard_normal((b, l, s, s))), stage=st)
-                for s, st in zip(sizes, stages)]
+        return [Tensor(rng.standard_normal((b, l, s, s))) for s in sizes]
 
     def test_single_stage_is_identity(self):
         rng = np.random.default_rng(3)
         (m,) = self.stack(rng, [4])[:1]
         (out,) = L.sum_masks_orderly([m])
-        np.testing.assert_array_equal(out.data, m.logits.data)
+        np.testing.assert_array_equal(out.data, m.data)
 
     def test_identical_masks_accumulate_linearly(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((1, 3, 4, 4))
-        masks = [MaskLogits(Tensor(base.copy()), stage=s) for s in (4, 3, 2)]
+        masks = [Tensor(base.copy()) for _ in range(3)]
         sums = L.sum_masks_orderly(masks)
         for k, s in enumerate(sums, start=1):
             np.testing.assert_allclose(s.data, k * base, atol=1e-12)
@@ -152,7 +149,7 @@ class TestSumMasksOrderly:
         rng = np.random.default_rng(5)
         masks = self.stack(rng, [1, 2, 4])
         sums = L.sum_masks_orderly(masks)
-        resized = [F.bilinear_resize(m.logits, 4, 4).data for m in masks]
+        resized = [F.bilinear_resize(m, 4, 4).data for m in masks]
         np.testing.assert_allclose(sums[0].data, resized[0], atol=1e-12)
         np.testing.assert_allclose(sums[1].data, resized[0] + resized[1], atol=1e-12)
         np.testing.assert_allclose(sums[2].data, sum(resized), atol=1e-12)
@@ -272,9 +269,8 @@ class TestTotalLoss:
     def case(seed, b=2, l=4, hw=8):
         rng = np.random.default_rng(seed)
         logits = Tensor(rng.standard_normal((b, l, hw, hw)), requires_grad=True)
-        masks = [MaskLogits(Tensor(rng.standard_normal((b, l, s, s)),
-                                   requires_grad=True), stage=st)
-                 for s, st in zip((hw // 8, hw // 4, hw // 2), (4, 3, 2))]
+        masks = [Tensor(rng.standard_normal((b, l, s, s)), requires_grad=True)
+                 for s in (hw // 8, hw // 4, hw // 2)]
         labels = rng.integers(0, l, size=(b, hw, hw))
         labels[0, 0, 0] = L.IGNORE_INDEX
         return logits, masks, labels
@@ -323,7 +319,7 @@ class TestTotalLoss:
     def test_gradient_through_everything(self):
         logits, masks, labels = self.case(20, b=1, l=3, hw=8)
         params = {"logits": logits}
-        params.update({f"mask{i}": m.logits for i, m in enumerate(masks)})
+        params.update({f"mask{i}": m for i, m in enumerate(masks)})
         rows = G.check_gradients(
             lambda: L.total_loss(logits, masks, labels).total,
             params, coords_per_tensor=4)

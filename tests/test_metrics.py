@@ -72,18 +72,6 @@ def test_relabeling_both_sides_permutes_but_preserves_mean():
     np.testing.assert_array_equal(per_b[perm], per_a)
 
 
-def test_merge_equals_sequential_updates():
-    rng = np.random.default_rng(2)
-    t1, p1 = rng.integers(0, 3, (2, 50))
-    t2, p2 = rng.integers(0, 3, (2, 50))
-    seq = MT.ConfusionMatrix(3)
-    seq.update(p1, t1)
-    seq.update(p2, t2)
-    merged = cm_from(p1, t1, l=3).merge(cm_from(p2, t2, l=3))
-    np.testing.assert_array_equal(seq.counts, merged.counts)
-    assert seq.total == 100
-
-
 def test_update_validation():
     cm = MT.ConfusionMatrix(2)
     with pytest.raises(ShapeError):

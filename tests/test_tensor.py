@@ -88,16 +88,16 @@ def test_bmm_matches_per_slice_matmul():
         np.testing.assert_allclose(got[g], a[g] @ b[g], atol=1e-12)
 
 
-def test_concat_narrow_roundtrip():
+def test_concat_backward_splits_gradient():
     rng = np.random.default_rng(10)
     parts = [Tensor(rng.standard_normal((2, k, 3)), requires_grad=True) for k in (1, 2, 4)]
     joined = T.concat(parts, axis=1)
     assert joined.shape == (2, 7, 3)
-    back = T.narrow(joined, 1, 1, 2)
-    np.testing.assert_array_equal(back.data, parts[1].data)
-    grads = backward(back.sum())
-    np.testing.assert_array_equal(grads[parts[1]], np.ones((2, 2, 3)))
-    assert parts[0] not in grads or not grads[parts[0]].any()
+    np.testing.assert_array_equal(joined.data[:, 1:3], parts[1].data)
+    w = rng.standard_normal((2, 7, 3))
+    grads = backward((joined * Tensor(w)).sum())
+    for part, cols in zip(parts, (slice(0, 1), slice(1, 3), slice(3, 7))):
+        np.testing.assert_array_equal(grads[part], w[:, cols])
 
 
 def test_transpose_reshape_backward():
