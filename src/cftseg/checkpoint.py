@@ -98,6 +98,19 @@ def load_checkpoint(path) -> Checkpoint:
                       arrays=arrays, version=version)
 
 
+def _restore_arrays(arrays: Mapping[str, np.ndarray], prefix: str,
+                    targets: Mapping[str, np.ndarray]) -> None:
+    """Copy `prefix/<name>` arrays into `targets` in place; every name must
+    be present with the target's shape."""
+    for name, target in targets.items():
+        key = f"{prefix}/{name}"
+        if key not in arrays:
+            raise CheckpointError(f"checkpoint is missing {key}")
+        if arrays[key].shape != target.shape:
+            raise CheckpointError(f"shape mismatch for {key}")
+        target[...] = arrays[key]
+
+
 def model_state(named_params: Mapping[str, "np.ndarray"],
                 optimizer_arrays: Mapping[str, np.ndarray] | None = None
                 ) -> dict[str, np.ndarray]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import train as train_mod
 from .checkpoint import load_checkpoint
-from .config import load_config
+from .config import VARIANT_CHOICES, load_config
 from .errors import CheckpointError, DivergedError
 from .flops import count_flops
 
@@ -115,8 +115,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     modes = tuple(args.mask_modes.split(",")) if args.mask_modes \
         else (config.mask_loss_mode,)
-    variants = (args.variant,) if args.variant else \
-        ("cft", "naive", "avgpool", "a", "b", "c", "none")
+    variants = (args.variant,) if args.variant else VARIANT_CHOICES
     rows = train_mod.run_ablation(config, args.out, variants=variants,
                                   mask_modes=modes)
     for row in rows:

@@ -4,6 +4,10 @@ One fused multiply-add counts as one FLOP. Only matmul-shaped work is
 counted: 1x1 and depthwise convolutions, linear projections, attention
 score/aggregation products. Pooling, resizing, normalization, softmax, and
 activations count zero.
+
+Nothing here restates the model: a fusion step's count is read off its
+row of the wiring table in `blocks`, and parameter counts are the sizes
+of the built model's `named_parameters()`, grouped by module prefix.
 """
 
 from __future__ import annotations
@@ -11,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import NUM_STAGES, ModelConfig, SegModel
-from .blocks import VARIANTS
-
-
-def matmul_flops(m: int, k: int, n: int) -> int:
-    return m * k * n
+from .blocks import _WIRINGS, _Wiring
+from .model import NUM_STAGES, SegModel
 
 
 def conv1x1_flops(batch: int, c_in: int, h: int, w: int, c_out: int) -> int:
@@ -70,51 +70,38 @@ def _stage_hw(input_hw: tuple[int, int]) -> list[tuple[int, int]]:
     return [(h >> (k + 2), w >> (k + 2)) for k in range(NUM_STAGES)]
 
 
-def _block_flops(variant: str, n_lo: int, n_hi: int, n_kv: int,
+def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
                  c: int, l: int, ratio: int) -> int:
+    """One fusion step read off its wiring: queries on the fine grid (the
+    coarse one when upsampling comes after); keys from the L category
+    vectors, the pooled grid or the coarse grid."""
+    n_q = n_hi if wiring.upsample_after else n_lo
+    if wiring.kv is None:
+        n_k = l
+        embed = n_hi * c * l + n_hi * c * c + l * n_hi * c
+    else:
+        n_k = n_kv if wiring.pool else n_hi
+        embed = 0
     ch = c * ratio
     ffn = n_lo * c * ch + n_lo * ch * 9 + n_lo * ch * c
-    out_proj = n_lo * c * c
-    if variant == "cft":
-        embed = n_hi * c * l + n_hi * c * c + l * n_hi * c
-        kv = 2 * (l * c * c)
-        return embed + n_lo * c * c + kv + attention_flops(n_lo, l, c) + out_proj + ffn
-    if variant == "naive":
-        kv = 2 * (n_hi * c * c)
-        return n_lo * c * c + kv + attention_flops(n_lo, n_hi, c) + out_proj + ffn
-    if variant in ("avgpool", "a", "b"):
-        kv = 2 * (n_kv * c * c)
-        return n_lo * c * c + kv + attention_flops(n_lo, n_kv, c) + out_proj + ffn
-    if variant == "c":
-        # queries, attention, and the output projection run at the coarse grid
-        kv = 2 * (n_kv * c * c)
-        return n_hi * c * c + kv + attention_flops(n_hi, n_kv, c) + n_hi * c * c + ffn
-    if variant == "none":
-        return 0
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
-def _block_params(c: int, l: int, ratio: int, with_category: bool) -> int:
-    total = 4 * (c * c + c)      # q, k, v, o projections
-    total += 3 * 2 * c           # embed/query/ffn norms
-    ch = c * ratio
-    total += c * ch + ch + 9 * ch + ch + ch * c + c
-    if with_category:
-        total += l * c + l + c * c + c
-    return total
+    # q and output projections on the query rows, k and v on the key rows
+    proj = 2 * n_q * c * c + 2 * n_k * c * c
+    return embed + proj + attention_flops(n_q, n_k, c) + ffn
 
 
 def count_flops(model_or_config, input_hw: tuple[int, int] = (128, 128),
                 variant: str | None = None, batch: int = 1) -> FlopsReport:
     """Per-module FLOPs/params for a model or config at the given input."""
     if isinstance(model_or_config, SegModel):
-        config = model_or_config.config
-        variant = model_or_config.variant if variant is None else variant
+        model = model_or_config
+        config = model.config
+        variant = model.variant if variant is None else variant
     else:
+        model = None
         config = model_or_config
         variant = "cft" if variant is None else variant
-    if variant not in VARIANTS + ("none",):
-        raise ConfigError(f"unknown variant {variant!r}")
+    if model is None or model.variant != variant:
+        model = SegModel(config, variant)
     if batch < 1:
         raise ConfigError("batch must be at least 1")
 
@@ -122,7 +109,6 @@ def count_flops(model_or_config, input_hw: tuple[int, int] = (128, 128),
     counts = [h * w for h, w in sizes]
     c, l, ratio = config.embed_channels, config.num_categories, config.ffn_ratio
     flops: dict[str, int] = {}
-    params: dict[str, int] = {}
 
     in_chain = (3,) + tuple(config.backbone_channels)
     for k in range(NUM_STAGES):
@@ -130,22 +116,17 @@ def count_flops(model_or_config, input_hw: tuple[int, int] = (128, 128),
         c_in, c_out = in_chain[k], in_chain[k + 1]
         flops[f"backbone.s{k + 1}"] = (conv1x1_flops(batch, c_in, h, w, c_out)
                                        + depthwise3x3_flops(batch, c_out, h, w))
-        params[f"backbone.s{k + 1}"] = c_in * c_out + c_out + 9 * c_out + c_out
         flops[f"lateral.s{k + 1}"] = conv1x1_flops(batch, c_out, h, w, c)
-        params[f"lateral.s{k + 1}"] = c_out * c + c
 
-    n_kv = counts[-1]
     for i in range(NUM_STAGES - 1, 0, -1):
-        key = f"aggregate.s{i}"
-        if variant == "none":
-            flops[key] = 0
-            params[key] = 0
-            continue
-        flops[key] = batch * _block_flops(variant, counts[i - 1], counts[i],
-                                          n_kv, c, l, ratio)
-        params[key] = _block_params(c, l, ratio, with_category=variant == "cft")
+        flops[f"aggregate.s{i}"] = 0 if variant == "none" else batch * _block_flops(
+            _WIRINGS[variant], counts[i - 1], counts[i], counts[-1], c, l, ratio)
 
     flops["decode"] = conv1x1_flops(batch, NUM_STAGES * c, *sizes[0], l)
-    params["decode"] = NUM_STAGES * c * l + l
+    params = dict.fromkeys(flops, 0)
+    for name, tensor in model.named_parameters().items():
+        # `lateral.s2.w` -> `lateral.s2`, `block.s3.w_q.w` -> `aggregate.s3`
+        module, stage = name.replace("block.", "aggregate.", 1).split(".")[:2]
+        params[module if module == "decode" else f"{module}.{stage}"] += tensor.size
     return FlopsReport(variant=variant, input_hw=tuple(input_hw), batch=batch,
                        flops=flops, params=params)

@@ -33,8 +33,6 @@ class LossBreakdown:
     dice: Tensor
     focal: Tensor
     total: Tensor
-    lambda_d: float = LAMBDA_DICE
-    lambda_f: float = LAMBDA_FOCAL
 
     @classmethod
     def combine(cls, ce: Tensor, dice: Tensor, focal: Tensor) -> "LossBreakdown":

@@ -1,10 +1,6 @@
-"""Confusion-matrix segmentation metrics and per-category gain reports."""
+"""Confusion-matrix segmentation metrics: pixel accuracy and per-category IoU."""
 
 from __future__ import annotations
-
-import csv
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -62,47 +58,3 @@ def miou(cm: ConfusionMatrix) -> tuple[np.ndarray, float]:
     per_category = np.full(cm.num_categories, np.nan)
     per_category[present] = tp[present] / denom[present]
     return per_category, float(per_category[present].mean())
-
-
-def per_category_gain(iou_base, iou_agg) -> dict:
-    """Boxplot summary of per-category IoU deltas between two runs.
-
-    Categories with a NaN IoU in either input are dropped before the
-    statistics are taken.
-    """
-    base = np.asarray(iou_base, dtype=np.float64)
-    agg = np.asarray(iou_agg, dtype=np.float64)
-    if base.shape != agg.shape or base.ndim != 1:
-        raise ShapeError("iou vectors must be equal-length 1-D arrays")
-    keep = np.isfinite(base) & np.isfinite(agg)
-    if not keep.any():
-        raise ValueError("no scored categories in common")
-    delta = agg[keep] - base[keep]
-    q1, median, q3 = np.quantile(delta, [0.25, 0.5, 0.75])
-    return {
-        "deltas": delta.tolist(),
-        "mean": float(delta.mean()),
-        "min": float(delta.min()),
-        "q1": float(q1),
-        "median": float(median),
-        "q3": float(q3),
-        "max": float(delta.max()),
-    }
-
-
-def write_gain_report(csv_path, json_path, iou_base, iou_agg) -> dict:
-    """Emit the per-category CSV and JSON summary; returns the summary."""
-    base = np.asarray(iou_base, dtype=np.float64)
-    agg = np.asarray(iou_agg, dtype=np.float64)
-    summary = per_category_gain(base, agg)
-    with Path(csv_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category_id", "iou_base", "iou_agg", "delta"])
-        for idx, (b, a) in enumerate(zip(base, agg)):
-            writer.writerow([idx, repr(float(b)), repr(float(a)),
-                             repr(float(a - b))])
-    with Path(json_path).open("w") as fh:
-        json.dump({k: v for k, v in summary.items() if k != "deltas"}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return summary

@@ -6,6 +6,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .checkpoint import _restore_arrays
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -68,7 +69,6 @@ class AdamW:
 
     def load_state_arrays(self, arrays: Mapping[str, np.ndarray],
                           step_count: int) -> None:
-        for name in self.params:
-            self.m[name][...] = arrays[f"adam_m/{name}"]
-            self.v[name][...] = arrays[f"adam_v/{name}"]
+        _restore_arrays(arrays, "adam_m", self.m)
+        _restore_arrays(arrays, "adam_v", self.v)
         self.step_count = step_count

@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Operations execute eagerly on numpy arrays. When gradients are enabled,
-every op leaves an `OpRecord` behind; `backward` collects the records
-reachable from a scalar loss into a topologically ordered list and
-replays it in reverse, accumulating gradients in a fixed order so the
-result is bit-reproducible for a given graph.
+every op leaves an `OpRecord` on its output tensor; `backward` collects
+the tensors reachable from a scalar loss into a topologically ordered
+list and replays their records in reverse, accumulating gradients in a
+fixed order so the result is bit-reproducible for a given graph.
 """
 
 from __future__ import annotations
@@ -42,20 +42,21 @@ def grad_enabled() -> bool:
 
 
 class OpRecord:
-    """One recorded operation: its inputs, output, and backward rule.
+    """One recorded operation: its inputs and backward rule.
 
     `backward` maps the output gradient to a sequence of input gradients
     aligned with `inputs`; entries may be None for inputs that do not
-    need a gradient.
+    need a gradient. The record holds no reference to its output, so a
+    graph only points from outputs to inputs and reference counting
+    frees it as soon as its last tensor is dropped.
     """
 
-    __slots__ = ("op", "inputs", "out", "backward")
+    __slots__ = ("op", "inputs", "backward")
 
-    def __init__(self, op: str, inputs: tuple, out: "Tensor",
+    def __init__(self, op: str, inputs: tuple,
                  backward: Callable[[Array], Sequence[Array | None]]):
         self.op = op
         self.inputs = inputs
-        self.out = out
         self.backward = backward
 
     def __repr__(self):
@@ -83,7 +84,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
-        out.op = OpRecord(op, inputs, out, backward) if out.requires_grad else None
+        out.op = OpRecord(op, inputs, backward) if out.requires_grad else None
         return out
 
     @property
@@ -399,16 +400,16 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # backward
 
 
-def trace(loss: Tensor) -> list[OpRecord]:
-    """Collect the records reachable from `loss` in topological order:
-    every record comes after the records of its inputs."""
-    records: list[OpRecord] = []
+def trace(loss: Tensor) -> list[Tensor]:
+    """Collect the recorded tensors reachable from `loss` in topological
+    order: every tensor comes after the recorded tensors among its inputs."""
+    order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
-            records.append(t.op)
+            order.append(t)
             continue
         if id(t) in seen or t.op is None or not t.requires_grad:
             continue
@@ -416,7 +417,7 @@ def trace(loss: Tensor) -> list[OpRecord]:
         stack.append((t, True))
         for inp in reversed(t.op.inputs):
             stack.append((inp, False))
-    return records
+    return order
 
 
 def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tensor, Array]:
@@ -435,11 +436,11 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
     leaf_grads: dict[Tensor, Array] = {}
     if loss.op is None and loss.requires_grad:
         leaf_grads[loss] = grads[id(loss)]
-    for rec in reversed(tape):
-        g = grads.pop(id(rec.out), None)
+    for t in reversed(tape):
+        g = grads.pop(id(t), None)
         if g is None:
             continue
-        for inp, gi in zip(rec.inputs, rec.backward(g)):
+        for inp, gi in zip(t.op.inputs, t.op.backward(g)):
             if gi is None or not inp.requires_grad:
                 continue
             if inp.op is None:

@@ -10,11 +10,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import (Checkpoint, load_checkpoint, model_state,
-                         save_checkpoint)
-from .config import TrainConfig, config_to_text, load_config, parse_config_text
+from .checkpoint import (Checkpoint, _restore_arrays, load_checkpoint,
+                         model_state, save_checkpoint)
+from .config import (VARIANT_CHOICES, TrainConfig, config_to_text, load_config,
+                     parse_config_text)
 from .data import Dataset, gen_synthetic_dataset
-from .errors import CheckpointError, ConfigError, DivergedError
+from .errors import ConfigError, DivergedError
 from .flops import count_flops
 from .gradcheck import GradCheckRow, check_gradients
 from .losses import cross_entropy, dice_loss, focal_loss, nearest_indices, total_loss
@@ -55,13 +56,8 @@ def default_dataset(config: TrainConfig, seed: int | None = None) -> Dataset:
 def model_from_checkpoint(ck: Checkpoint) -> tuple[SegModel, TrainConfig]:
     config = load_config(None, overrides=parse_config_text(ck.config_text))
     model = build_model(config)
-    for name, tensor in model.named_parameters().items():
-        key = f"param/{name}"
-        if key not in ck.arrays:
-            raise CheckpointError(f"checkpoint is missing {key}")
-        if ck.arrays[key].shape != tensor.data.shape:
-            raise CheckpointError(f"shape mismatch for {key}")
-        tensor.data[...] = ck.arrays[key]
+    _restore_arrays(ck.arrays, "param",
+                    {name: t.data for name, t in model.named_parameters().items()})
     return model, config
 
 
@@ -106,8 +102,8 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
         ck = resume if isinstance(resume, Checkpoint) else load_checkpoint(resume)
         if parse_config_text(ck.config_text) != parse_config_text(config_to_text(config)):
             raise ConfigError("checkpoint config does not match this run")
-        for name, tensor in params.items():
-            tensor.data[...] = ck.arrays[f"param/{name}"]
+        _restore_arrays(ck.arrays, "param",
+                        {name: t.data for name, t in params.items()})
         optimizer.load_state_arrays(ck.arrays, step_count=ck.iteration)
         start = ck.iteration
         if start >= config.total_iters:
@@ -202,8 +198,7 @@ ABLATION_HEADER = ("variant", "mask_mode", "params", "flops", "miou",
 
 
 def run_ablation(config: TrainConfig, out_dir,
-                 variants: Sequence[str] = ("cft", "naive", "avgpool",
-                                            "a", "b", "c", "none"),
+                 variants: Sequence[str] = VARIANT_CHOICES,
                  mask_modes: Sequence[str] = ("cumulative",),
                  heldout_seed_offset: int = 1000) -> list[dict]:
     """Train/evaluate each (variant, mask_mode) under one seed and budget.

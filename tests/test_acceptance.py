@@ -204,11 +204,11 @@ def test_determinism_and_persistence(tmp_path):
           "byte-identical logs; round-tripped arrays and metrics bit-exact")
 
 
-def test_learnability():
+def test_learnability(tmp_path):
     cfg = TrainConfig(baselr=4e-3, total_iters=1500, n_images=8,
                       crop_size=64, num_categories=4, log_every=100, seed=0)
     t0 = time.perf_counter()
-    result = TR.train(cfg, "runs/acceptance_learnability")
+    result = TR.train(cfg, tmp_path / "acceptance_learnability")
     elapsed = time.perf_counter() - t0
     report = TR.evaluate(result.checkpoint_path, TR.default_dataset(cfg))
     ok = (report["miou"] >= 0.95 and report["pixel_accuracy"] >= 0.99
@@ -218,10 +218,10 @@ def test_learnability():
           f"{elapsed:.0f}s for 1500 iterations")
 
 
-def test_mask_loss_effect():
+def test_mask_loss_effect(tmp_path):
     cfg = TrainConfig(baselr=4e-3, total_iters=1500, n_images=32,
                       crop_size=64, num_categories=4, log_every=100, seed=0)
-    rows = TR.run_ablation(cfg, "runs/acceptance_mask_effect",
+    rows = TR.run_ablation(cfg, tmp_path / "acceptance_mask_effect",
                            variants=("cft",),
                            mask_modes=("cumulative", "off"))
     by_mode = {r["mask_mode"]: r for r in rows}

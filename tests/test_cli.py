@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
 from cftseg.data import load_dataset
 
@@ -139,6 +140,22 @@ def test_missing_checkpoint_is_json_error(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] in ("FileNotFoundError", "CheckpointError")
+
+
+def test_resume_from_params_only_checkpoint_is_json_error(tiny_cfg, tmp_path,
+                                                          capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
+    ck = load_checkpoint(run / "checkpoint_final.ckpt")
+    params_only = save_checkpoint(tmp_path / "params.ckpt", Checkpoint(
+        iteration=1, config_text=ck.config_text,
+        arrays={k: v for k, v in ck.arrays.items() if k.startswith("param/")}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tiny_cfg), "--out",
+                 str(tmp_path / "again"), "--resume", str(params_only)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "CheckpointError"
+    assert "adam_m/" in payload["message"]
 
 
 def test_module_runs_as_subprocess(tiny_cfg, tmp_path):

@@ -1,11 +1,13 @@
-"""FLOPs counter: definitions, additivity, orderings, parameter cross-check."""
+"""FLOPs counter: definitions, additivity, orderings, executed-op oracle."""
 
 import numpy as np
 import pytest
 
+from cftseg.config import VARIANT_CHOICES
 from cftseg.errors import ConfigError
 import cftseg.flops as FL
 from cftseg.model import ModelConfig, SegModel
+from cftseg.tensor import Tensor, trace
 
 
 def desk_config():
@@ -14,7 +16,6 @@ def desk_config():
 
 
 def test_primitive_definitions():
-    assert FL.matmul_flops(3, 5, 7) == 105
     assert FL.conv1x1_flops(2, 8, 4, 4, 16) == 2 * 4 * 4 * 8 * 16
     assert FL.depthwise3x3_flops(1, 8, 4, 4) == 8 * 16 * 9
     assert FL.attention_flops(10, 4, 32) == 2 * 10 * 4 * 32
@@ -82,6 +83,36 @@ def test_naive_to_cft_aggregation_ratio_grows_with_resolution():
         cft = FL.count_flops(cfg, hw, "cft").aggregation_flops
         ratios.append(naive / cft)
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def _executed_flops(model: SegModel, size: int) -> int:
+    """Multiply-adds of the matmul-shaped ops one grad-enabled forward records."""
+    images = Tensor(np.random.default_rng(0).standard_normal((1, 3, size, size)))
+    logits, _ = model(images)
+    total = 0
+    for rec in (t.op for t in trace(logits)):
+        x = rec.inputs[0]
+        if rec.op in ("conv1x1", "linear"):
+            total += x.size * rec.inputs[1].shape[0]
+        elif rec.op == "depthwise_conv3x3":
+            total += x.size * 9
+        elif rec.op == "bmm":
+            g, m, k = x.shape
+            total += g * m * k * rec.inputs[1].shape[2]
+    return total
+
+
+def test_counts_equal_the_executed_ops():
+    cfg = desk_config()
+    for size in (64, 128, 256):
+        base = _executed_flops(SegModel(cfg, variant="none"), size)
+        for variant in VARIANT_CHOICES:
+            model = SegModel(cfg, variant=variant)
+            rep = FL.count_flops(cfg, (size, size), variant)
+            executed = _executed_flops(model, size)
+            assert executed == rep.total_flops, (variant, size)
+            assert executed - base == rep.aggregation_flops, (variant, size)
+            assert rep.total_params == model.parameter_count(), (variant, size)
 
 
 def test_accepts_a_model_instance():

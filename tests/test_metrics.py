@@ -1,7 +1,4 @@
-"""Confusion matrix, IoU, and gain-report checks against hand counts."""
-
-import csv
-import json
+"""Confusion matrix and IoU checks against hand counts."""
 
 import numpy as np
 import pytest
@@ -80,67 +77,3 @@ def test_update_validation():
         cm.update(np.array([5]), np.array([0]))
     with pytest.raises(ValueError):
         MT.miou(MT.ConfusionMatrix(2))
-
-
-class TestGain:
-    def test_identical_inputs_give_zero_deltas(self):
-        iou = np.linspace(0.2, 0.9, 5)
-        out = MT.per_category_gain(iou, iou)
-        assert out["deltas"] == [0.0] * 5
-        for key in ("mean", "min", "q1", "median", "q3", "max"):
-            assert out[key] == 0.0
-
-    def test_single_category_quartiles_collapse(self):
-        out = MT.per_category_gain([0.4], [0.7])
-        for key in ("min", "q1", "median", "q3", "max", "mean"):
-            np.testing.assert_allclose(out[key], 0.3)
-
-    def test_matches_sorted_interpolation_oracle(self):
-        rng = np.random.default_rng(3)
-        base, agg = rng.random((2, 11))
-        out = MT.per_category_gain(base, agg)
-        delta = np.sort(agg - base)
-
-        def quant(q):
-            pos = q * (delta.size - 1)
-            lo, hi = int(np.floor(pos)), int(np.ceil(pos))
-            return delta[lo] + (pos - lo) * (delta[hi] - delta[lo])
-
-        np.testing.assert_allclose(out["q1"], quant(0.25), rtol=1e-12)
-        np.testing.assert_allclose(out["median"], quant(0.5), rtol=1e-12)
-        np.testing.assert_allclose(out["q3"], quant(0.75), rtol=1e-12)
-        assert out["min"] == delta[0] and out["max"] == delta[-1]
-
-    def test_nan_categories_are_dropped(self):
-        base = np.array([0.5, np.nan, 0.2])
-        agg = np.array([0.6, 0.9, np.nan])
-        out = MT.per_category_gain(base, agg)
-        np.testing.assert_allclose(out["deltas"], [0.1])
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            MT.per_category_gain([0.1, 0.2], [0.3])
-        with pytest.raises(ValueError):
-            MT.per_category_gain([np.nan], [0.1])
-
-
-def test_write_gain_report_round_trips(tmp_path):
-    rng = np.random.default_rng(4)
-    base, agg = rng.random((2, 6))
-    csv_path = tmp_path / "gain.csv"
-    json_path = tmp_path / "gain.json"
-    summary = MT.write_gain_report(csv_path, json_path, base, agg)
-
-    with csv_path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["category_id", "iou_base", "iou_agg", "delta"]
-    assert len(rows) == 7
-    for idx, row in enumerate(rows[1:]):
-        assert int(row[0]) == idx
-        assert float(row[1]) == base[idx]
-        assert float(row[3]) == agg[idx] - base[idx]
-
-    loaded = json.loads(json_path.read_text())
-    assert "deltas" not in loaded
-    for key in ("mean", "min", "q1", "median", "q3", "max"):
-        np.testing.assert_allclose(loaded[key], summary[key])

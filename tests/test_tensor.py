@@ -145,13 +145,13 @@ def test_tape_is_topological_and_visits_once():
     tape = T.trace(loss)
     seen = set()
     order = {}
-    for pos, rec in enumerate(tape):
-        assert id(rec) not in seen
-        seen.add(id(rec))
-        order[id(rec.out)] = pos
-        for inp in rec.inputs:
+    for pos, t in enumerate(tape):
+        assert id(t) not in seen
+        seen.add(id(t))
+        order[id(t)] = pos
+        for inp in t.op.inputs:
             if inp.op is not None:
-                assert order[id(inp.op.out)] < pos
+                assert order[id(inp)] < pos
     grads = backward(loss)
     np.testing.assert_allclose(grads[x], np.full(4, 4.0))
 

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from cftseg.checkpoint import load_checkpoint
+from cftseg.checkpoint import Checkpoint, load_checkpoint
 import cftseg.config as CF
 from cftseg.data import Dataset, gen_synthetic_dataset
 from cftseg.errors import CheckpointError, ConfigError, DivergedError
@@ -90,6 +90,20 @@ def test_resume_past_the_end_rejected(tmp_path):
     with pytest.raises(ConfigError, match="total_iters"):
         TR.train(tiny_config(total_iters=2), tmp_path / "again",
                  resume=res.checkpoint_path)
+
+
+def test_resume_checks_every_array_it_restores(tmp_path):
+    cfg = tiny_config(total_iters=4, checkpoint_every=2)
+    TR.train(cfg, tmp_path)
+    ck = load_checkpoint(tmp_path / "checkpoint_000002.ckpt")
+    params_only = Checkpoint(iteration=ck.iteration, config_text=ck.config_text,
+                             arrays={k: v for k, v in ck.arrays.items()
+                                     if k.startswith("param/")})
+    with pytest.raises(CheckpointError, match="missing adam_m/"):
+        TR.train(cfg, tmp_path / "a", resume=params_only)
+    del ck.arrays["param/decode.cls.b"]
+    with pytest.raises(CheckpointError, match="missing param/decode.cls.b"):
+        TR.train(cfg, tmp_path / "b", resume=ck)
 
 
 def test_checkpoint_cadence(tmp_path):
