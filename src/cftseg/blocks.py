@@ -29,7 +29,7 @@ its residuals start from: x_low, or the query map for a and b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -93,8 +93,8 @@ class CftBlockParams:
     w_v: LinearParams
     w_o: LinearParams
     ffn_expand: LinearParams
-    ffn_dw: DepthwiseParams
     ffn_project: LinearParams
+    ffn_dw: DepthwiseParams
     norm_embed: NormParams
     norm_query: NormParams
     norm_ffn: NormParams
@@ -131,28 +131,20 @@ class CftBlockParams:
         ffn_project = (_zero_linear(channels, hidden) if zero_residual_paths
                        else _uniform_linear(rng, channels, hidden))
         return cls(channels, heads, phi_mask, phi_feat, w_q, w_k, w_v, w_o,
-                   ffn_expand, ffn_dw, ffn_project,
+                   ffn_expand, ffn_project, ffn_dw,
                    _norm(channels), _norm(channels), _norm(channels))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        pairs = [("phi_mask", self.phi_mask), ("phi_feat", self.phi_feat),
-                 ("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v),
-                 ("w_o", self.w_o), ("ffn_expand", self.ffn_expand),
-                 ("ffn_project", self.ffn_project)]
-        for name, lin in pairs:
-            if lin is None:
-                continue
-            out[f"{prefix}.{name}.w"] = lin.w
-            out[f"{prefix}.{name}.b"] = lin.b
-        out[f"{prefix}.ffn_dw.w"] = self.ffn_dw.w
-        out[f"{prefix}.ffn_dw.b"] = self.ffn_dw.b
-        for name, nrm in (("norm_embed", self.norm_embed),
-                          ("norm_query", self.norm_query),
-                          ("norm_ffn", self.norm_ffn)):
-            out[f"{prefix}.{name}.gamma"] = nrm.gamma
-            out[f"{prefix}.{name}.beta"] = nrm.beta
-        return out
+
+def named_tensors(params, prefix: str) -> dict[str, Tensor]:
+    """Every tensor in a (nested) parameter dataclass, keyed
+    `prefix.field[.field...]` in field order; other fields are skipped."""
+    if isinstance(params, Tensor):
+        return {prefix: params}
+    out: dict[str, Tensor] = {}
+    if is_dataclass(params):
+        for f in fields(params):
+            out.update(named_tensors(getattr(params, f.name), f"{prefix}.{f.name}"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Writes go to a temp file in the same directory and are renamed into place.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -31,12 +32,22 @@ class Checkpoint:
     version: int = VERSION
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, end: int) -> bytes:
+    """Read n bytes of a file whose size is `end`, checking the size first
+    so a corrupt length never asks for more memory than the file holds."""
+    left = end - fh.tell()
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
         raise CheckpointError(
-            f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
+            f"truncated checkpoint: wanted {n} bytes, {left} left")
     return buf
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{what} is not valid UTF-8: {err}") from None
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
@@ -71,15 +82,16 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with path.open("rb") as fh:
-        magic = _read_exact(fh, 4)
+        end = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, 4, end)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, end))
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}")
-        (iteration,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        config_text = _read_exact(fh, config_len).decode("utf-8")
+        (iteration,) = struct.unpack("<Q", _read_exact(fh, 8, end))
+        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
+        config_text = _decode(_read_exact(fh, config_len, end), "config text")
         arrays: dict[str, np.ndarray] = {}
         while True:
             head = fh.read(4)
@@ -88,11 +100,13 @@ def load_checkpoint(path) -> Checkpoint:
             if len(head) != 4:
                 raise CheckpointError("truncated record header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            payload = _read_exact(fh, 8 * count)
+            name = _decode(_read_exact(fh, name_len, end), "array name")
+            if name in arrays:
+                raise CheckpointError(f"duplicate array {name!r}")
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, end))
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, end))
+            # math.prod: np.prod would wrap a corrupt shape around int64
+            payload = _read_exact(fh, 8 * math.prod(shape), end)
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return Checkpoint(iteration=iteration, config_text=config_text,
                       arrays=arrays, version=version)

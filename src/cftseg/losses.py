@@ -1,9 +1,11 @@
 """Segmentation objective: pixel cross-entropy plus dice/focal mask supervision.
 
 The mask terms act on per-category sigmoid probabilities of summed stage
-logits; the pixel term is a softmax cross-entropy over categories. The
-weighted total is ``ce + 2*dice + 5*focal`` and every component is built
-from differentiable tensor ops so the whole breakdown backpropagates.
+logits, against one-hot targets from nearest-downsampled labels; the pixel
+term is a softmax cross-entropy over categories. Pixels labelled 255 are
+left out of every term. The weighted total is ``ce + 2*dice + 5*focal``
+and every component is built from differentiable tensor ops so the whole
+breakdown backpropagates.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import numpy as np
 
 from .errors import ShapeError
 from .functional import bilinear_resize, log_softmax
-from .tensor import Tensor, logsigmoid, neg, power, sigmoid
+from .tensor import Tensor, logsigmoid, neg, sigmoid
 
 IGNORE_INDEX = 255
 LAMBDA_DICE = 2.0
 LAMBDA_FOCAL = 5.0
+FOCAL_ALPHA = 0.25
+DICE_SMOOTH = 1.0
 
 MASK_LOSS_MODES = ("cumulative", "final", "off")
 
@@ -87,22 +91,28 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return (logp * target).sum() * (-1.0 / n_valid)
 
 
-def nearest_indices(src_len: int, dst_len: int) -> np.ndarray:
+def _nearest_indices(src_len: int, dst_len: int) -> np.ndarray:
     """Source index sampled at each destination cell's center."""
     centers = (np.arange(dst_len) + 0.5) * (src_len / dst_len)
     return np.minimum(centers.astype(np.int64), src_len - 1)
 
 
-def build_mask_targets(labels: np.ndarray, num_categories: int,
-                       out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-downsampled one-hot targets, (B,L,out_h,out_w)."""
-    labels = _check_labels(labels, num_categories)
+def downsample_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest-neighbour (B,H,W) -> (B,out_h,out_w) label map; 255 stays 255."""
+    labels = np.asarray(labels)
     if labels.ndim != 3:
         raise ShapeError(f"labels must be (B,H,W), got {labels.shape}")
-    rows = nearest_indices(labels.shape[1], out_h)
-    cols = nearest_indices(labels.shape[2], out_w)
-    small = labels[:, rows[:, None], cols[None, :]]
-    return one_hot(small, num_categories)
+    rows = _nearest_indices(labels.shape[1], out_h)
+    cols = _nearest_indices(labels.shape[2], out_w)
+    return labels[:, rows[:, None], cols[None, :]]
+
+
+def build_mask_targets(labels: np.ndarray, num_categories: int,
+                       out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-downsampled one-hot targets (B,L,out_h,out_w) and the
+    (B,out_h,out_w) mask of kept, non-ignored pixels."""
+    small = downsample_labels(_check_labels(labels, num_categories), out_h, out_w)
+    return one_hot(small, num_categories), small != IGNORE_INDEX
 
 
 def sum_masks_orderly(masks: Sequence[Tensor],
@@ -125,54 +135,58 @@ def sum_masks_orderly(masks: Sequence[Tensor],
     return sums if mode == "cumulative" else [sums[-1]]
 
 
-def _as_batched(logits: Tensor, target: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def _check_mask_input(logits: Tensor, target: np.ndarray,
+                      valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Float target and the kept-pixel mask broadcast to its (B,L,H,W) shape."""
     target = np.asarray(target, dtype=np.float64)
-    if logits.ndim == 3:
-        logits = logits.reshape((1, *logits.shape))
-        target = target.reshape((1, *target.shape))
     if logits.ndim != 4 or target.shape != logits.shape:
-        raise ShapeError(
-            f"mask logits {logits.shape} and target {target.shape} must be "
-            "matching (B,L,H,W) or (L,H,W) arrays")
-    return logits, target
+        raise ShapeError(f"mask logits {logits.shape} and target {target.shape} "
+                         "must be matching (B,L,H,W) arrays")
+    keep = 1.0 if valid is None else np.asarray(valid, dtype=np.float64)[:, None]
+    return target, np.broadcast_to(keep, target.shape)
 
 
 def dice_loss(mask_logits: Tensor, target: np.ndarray,
-              smooth: float = 1.0) -> Tensor:
+              valid: np.ndarray | None = None) -> Tensor:
     """Soft dice on sigmoid probabilities, averaged over present categories.
 
-    A category counts as present when its target plane has any positive
-    pixel in that sample; an all-empty target yields a zero loss.
+    Pixels where `valid` (B,H,W) is false are left out of every sum. A
+    category counts as present when its target plane has any positive
+    kept pixel in that sample; an all-empty target yields a zero loss.
     """
-    logits, target = _as_batched(mask_logits, target)
-    probs = sigmoid(logits)
-    tconst = Tensor(target)
-    inter = (probs * tconst).sum(axis=(2, 3))
+    target, keep = _check_mask_input(mask_logits, target, valid)
+    probs = sigmoid(mask_logits) * Tensor(keep)
+    inter = (probs * Tensor(target)).sum(axis=(2, 3))
     psum = probs.sum(axis=(2, 3))
-    tsum = target.sum(axis=(2, 3))
+    tsum = (target * keep).sum(axis=(2, 3))
     present = (tsum > 0).astype(np.float64)
     n_present = present.sum()
     if n_present == 0:
         return _scalar_zero()
-    per_pair = 1.0 - (inter * 2.0 + smooth) / (psum + Tensor(tsum) + smooth)
+    per_pair = 1.0 - (inter * 2.0 + DICE_SMOOTH) / (psum + Tensor(tsum) + DICE_SMOOTH)
     return (per_pair * Tensor(present)).sum() * (1.0 / n_present)
 
 
 def focal_loss(mask_logits: Tensor, target: np.ndarray,
-               gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
-    """Binary focal loss on per-category sigmoid maps, mean over all pixels.
+               valid: np.ndarray | None = None) -> Tensor:
+    """Binary focal loss on per-category sigmoid maps, mean over kept pixels.
 
-    Uses log-sigmoid throughout so saturated logits stay finite.
+    Targets are binary. With the signed logit s = z*(2t-1),
+    log p_t = logsigmoid(s) and 1 - p_t = sigmoid(-s), so saturated logits
+    stay finite; the focusing term (1 - p_t)**2 fixes gamma at 2. Pixels where
+    `valid` (B,H,W) is false weigh zero; with none kept the loss is zero.
     """
-    logits, target = _as_batched(mask_logits, target)
-    t = target
-    log_pt = Tensor(t) * logsigmoid(logits) + Tensor(1.0 - t) * logsigmoid(neg(logits))
-    alpha_t = t * alpha + (1.0 - t) * (1.0 - alpha)
-    weighted = Tensor(alpha_t) * neg(log_pt)
-    if gamma != 0.0:
-        pt_complement = Tensor(t) * sigmoid(neg(logits)) + Tensor(1.0 - t) * sigmoid(logits)
-        weighted = weighted * power(pt_complement, gamma)
-    return weighted.mean()
+    target, keep = _check_mask_input(mask_logits, target, valid)
+    n_kept = keep.sum()
+    if n_kept == 0:
+        return _scalar_zero()
+    signed = mask_logits * Tensor(target * 2.0 - 1.0)
+    miss = sigmoid(neg(signed))
+    alpha_t = target * FOCAL_ALPHA + (1.0 - target) * (1.0 - FOCAL_ALPHA)
+    # -alpha_t, rescaled by size / n_kept so that the mean runs over kept
+    # pixels; the factor is exactly 1.0 when all are kept
+    weight = Tensor(alpha_t * keep * (-target.size / n_kept))
+    return (weight * logsigmoid(signed) * (miss * miss)).mean()
 
 
 def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
@@ -184,9 +198,9 @@ def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
     if masks and mask_mode != "off":
         sums = sum_masks_orderly(masks, mode=mask_mode)
         _, num_categories, out_h, out_w = sums[0].shape
-        target = build_mask_targets(labels, num_categories, out_h, out_w)
-        dice_terms = [dice_loss(s, target) for s in sums]
-        focal_terms = [focal_loss(s, target) for s in sums]
+        target, valid = build_mask_targets(labels, num_categories, out_h, out_w)
+        dice_terms = [dice_loss(s, target, valid) for s in sums]
+        focal_terms = [focal_loss(s, target, valid) for s in sums]
         dice = reduce(lambda a, b: a + b, dice_terms) * (1.0 / len(sums))
         focal = reduce(lambda a, b: a + b, focal_terms) * (1.0 / len(sums))
     else:

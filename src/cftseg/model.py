@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import (CftBlockParams, DepthwiseParams, LinearParams, VARIANTS,
-                     _uniform_linear, apply_variant)
+                     _uniform_linear, apply_variant, named_tensors)
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
@@ -189,17 +189,12 @@ class SegModel:
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for k, sp in enumerate(self.backbone, start=1):
-            out[f"backbone.s{k}.conv.w"] = sp.conv.w
-            out[f"backbone.s{k}.conv.b"] = sp.conv.b
-            out[f"backbone.s{k}.dw.w"] = sp.dw.w
-            out[f"backbone.s{k}.dw.b"] = sp.dw.b
+            out.update(named_tensors(sp, f"backbone.s{k}"))
         for k, lp in enumerate(self.laterals, start=1):
-            out[f"lateral.s{k}.w"] = lp.w
-            out[f"lateral.s{k}.b"] = lp.b
+            out.update(named_tensors(lp, f"lateral.s{k}"))
         for idx, blk in enumerate(self.blocks):
-            out.update(blk.named(f"block.s{NUM_STAGES - 1 - idx}"))
-        out["decode.cls.w"] = self.classifier.w
-        out["decode.cls.b"] = self.classifier.b
+            out.update(named_tensors(blk, f"block.s{NUM_STAGES - 1 - idx}"))
+        out.update(named_tensors(self.classifier, "decode.cls"))
         return out
 
     def parameter_count(self) -> int:

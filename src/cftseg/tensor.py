@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Operations execute eagerly on numpy arrays. When gradients are enabled,
-every op leaves an `OpRecord` on its output tensor; `backward` collects
-the tensors reachable from a scalar loss into a topologically ordered
-list and replays their records in reverse, accumulating gradients in a
-fixed order so the result is bit-reproducible for a given graph.
+Operations execute eagerly on numpy arrays; only the ops the model and its
+objective use live here, the fused layers in functional.py. With gradients
+enabled every op leaves an `OpRecord` on its output; `backward` replays the
+records reachable from a scalar loss in reverse topological order, adding
+up gradients in a fixed order so results are bit-reproducible per graph.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class OpRecord:
@@ -104,9 +100,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -133,12 +126,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -219,31 +206,18 @@ def neg(a: Tensor) -> Tensor:
     return Tensor._result(-a.data, (a,), "neg", lambda g: (-g,))
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return Tensor._result(y, (a,), "exp", lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    return Tensor._result(np.log(ad), (a,), "log", lambda g: (g / ad,))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p; for non-integer p the base must be positive."""
-    p = float(p)
-    ad = a.data
-    return Tensor._result(ad ** p, (a,), "power",
-                          lambda g: (g * p * ad ** (p - 1.0),))
+def _stable_sigmoid(x: Array) -> Array:
+    """1 / (1 + exp(-x)), exponentiating only non-positive values."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    y[~pos] = ez / (1.0 + ez)
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    ad = a.data
-    y = np.empty_like(ad)
-    pos = ad >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-    ez = np.exp(ad[~pos])
-    y[~pos] = ez / (1.0 + ez)
+    y = _stable_sigmoid(a.data)
     return Tensor._result(y, (a,), "sigmoid", lambda g: (g * y * (1.0 - y),))
 
 
@@ -255,14 +229,9 @@ def logsigmoid(a: Tensor) -> Tensor:
     y[pos] = -np.log1p(np.exp(-ad[pos]))
     y[~pos] = ad[~pos] - np.log1p(np.exp(ad[~pos]))
 
-    def bwd(g):
-        # d/dx log(sigmoid(x)) = sigmoid(-x)
-        s = np.empty_like(ad)
-        s[pos] = np.exp(-ad[pos]) / (1.0 + np.exp(-ad[pos]))
-        s[~pos] = 1.0 / (1.0 + np.exp(ad[~pos]))
-        return (g * s,)
-
-    return Tensor._result(y, (a,), "logsigmoid", bwd)
+    # d/dx log(sigmoid(x)) = sigmoid(-x)
+    return Tensor._result(y, (a,), "logsigmoid",
+                          lambda g: (g * _stable_sigmoid(-ad),))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -280,19 +249,6 @@ def gelu(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # matrix products
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions {a.shape} @ {b.shape} do not agree")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
-
-    return Tensor._result(ad @ bd, (a, b), "matmul", bwd)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -433,9 +389,6 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = trace(loss)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[Tensor, Array] = {}
-    if loss.op is None and loss.requires_grad:
-        leaf_grads[loss] = grads[id(loss)]
     for t in reversed(tape):
         g = grads.pop(id(t), None)
         if g is None:
@@ -443,17 +396,10 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
         for inp, gi in zip(t.op.inputs, t.op.backward(g)):
             if gi is None or not inp.requires_grad:
                 continue
-            if inp.op is None:
-                if inp in leaf_grads:
-                    leaf_grads[inp] = leaf_grads[inp] + gi
-                else:
-                    leaf_grads[inp] = gi
-            else:
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-    if leaves is not None:
-        return {t: leaf_grads.get(t, np.zeros(t.shape)) for t in leaves}
-    return leaf_grads
+            key = id(inp)
+            grads[key] = grads[key] + gi if key in grads else gi
+    # what is left in `grads` belongs to leaves: recorded tensors were popped
+    if leaves is None:
+        reached = (loss, *(inp for t in tape for inp in t.op.inputs))
+        leaves = [t for t in reached if t.op is None and t.requires_grad and id(t) in grads]
+    return {t: grads.get(id(t), np.zeros(t.shape)) for t in leaves}

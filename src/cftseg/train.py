@@ -18,7 +18,8 @@ from .data import Dataset, gen_synthetic_dataset
 from .errors import ConfigError, DivergedError
 from .flops import count_flops
 from .gradcheck import GradCheckRow, check_gradients
-from .losses import cross_entropy, dice_loss, focal_loss, nearest_indices, total_loss
+from .losses import (IGNORE_INDEX, cross_entropy, dice_loss, downsample_labels,
+                     focal_loss, total_loss)
 from .metrics import ConfusionMatrix, miou, pixel_accuracy
 from .model import SegModel
 from .optim import AdamW, poly_lr
@@ -172,25 +173,19 @@ def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
 
 
 def mask_agreement(model: SegModel, dataset: Dataset) -> float | None:
-    """Fraction of stage-mask argmax pixels matching downsampled labels."""
+    """Fraction of stage-mask argmax pixels matching downsampled labels,
+    over pixels not labelled 255; None when no pixel of any mask is scored."""
     if len(dataset) == 0:
         raise ValueError("cannot score masks on an empty dataset")
     matched = 0
     scored = 0
-    saw_masks = False
     for _, masks, labels in _forward_batches(model, dataset):
         for mask in masks:
-            saw_masks = True
-            _, _, h, w = mask.shape
-            rows_idx = nearest_indices(labels.shape[1], h)
-            cols_idx = nearest_indices(labels.shape[2], w)
-            target = labels[:, rows_idx[:, None], cols_idx[None, :]]
-            pred = np.argmax(mask.data, axis=1)
-            matched += int((pred == target).sum())
-            scored += target.size
-    if not saw_masks:
-        return None
-    return matched / scored
+            target = downsample_labels(labels, *mask.shape[2:])
+            kept = target != IGNORE_INDEX
+            matched += int((np.argmax(mask.data, axis=1) == target)[kept].sum())
+            scored += int(kept.sum())
+    return matched / scored if scored else None
 
 
 ABLATION_HEADER = ("variant", "mask_mode", "params", "flops", "miou",

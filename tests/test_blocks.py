@@ -225,7 +225,8 @@ def test_block_gradients_spot_check():
         return (out * proj).sum() + (masks * masks).mean()
 
     from cftseg.gradcheck import check_gradients
-    rows = check_gradients(loss_fn, params.named("blk"), coords_per_tensor=3, seed=1)
+    rows = check_gradients(loss_fn, B.named_tensors(params, "blk"),
+                           coords_per_tensor=3, seed=1)
     bad = [r for r in rows if not r.passed(1e-4)]
     assert not bad, [(r.name, r.max_rel_error) for r in bad]
 
@@ -332,8 +333,8 @@ def test_apply_variant_rejects_unknown_name():
 
 def test_variant_params_have_no_category_heads():
     params = make_params(with_category=False)
-    names = params.named("blk")
+    names = B.named_tensors(params, "blk")
     assert not any("phi" in n for n in names)
-    full = make_params(with_category=True).named("blk")
+    full = B.named_tensors(make_params(with_category=True), "blk")
     assert {"blk.phi_mask.w", "blk.phi_mask.b", "blk.phi_feat.w",
             "blk.phi_feat.b"} <= set(full)

@@ -95,3 +95,29 @@ def test_model_state_prefixes_names():
     state = C.model_state(params, opt)
     assert set(state) == {"param/layer.w", "param/layer.b", "adam_m/layer.w"}
     np.testing.assert_array_equal(state["param/layer.w"], 1.0)
+
+
+def write_raw(path, records, config=b""):
+    """A version-1 file holding `records` of (name bytes, dims, payload)."""
+    blob = C.MAGIC + struct.pack("<IQI", C.VERSION, 0, len(config)) + config
+    for name, dims, payload in records:
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+        blob += struct.pack(f"<{len(dims)}Q", *dims) + payload
+    path.write_bytes(blob)
+    return path
+
+
+ONE = struct.pack("<d", 1.0)
+
+
+@pytest.mark.parametrize("records, config, match", [
+    ([(b"param/w", (1,), ONE), (b"param/w", (1,), ONE)], b"", "duplicate"),
+    ([(b"param/\xff", (1,), ONE)], b"", "UTF-8"),
+    ([(b"param/w", (1,), ONE)], b"seed = \xff", "UTF-8"),
+    ([(b"param/w", (2 ** 62,), ONE)], b"", "truncated"),
+    ([(b"param/w", (2 ** 32, 2 ** 32), b"")], b"", "truncated"),
+], ids=["duplicate", "name_utf8", "config_utf8", "dim_2e62", "dims_wrap_int64"])
+def test_corrupt_records_rejected(tmp_path, records, config, match):
+    path = write_raw(tmp_path / "bad.ckpt", records, config)
+    with pytest.raises(CheckpointError, match=match):
+        C.load_checkpoint(path)

@@ -1,12 +1,14 @@
 """CLI behavior: verbs, config precedence, error reporting, exit codes."""
 
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cftseg.checkpoint as C
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
 from cftseg.data import load_dataset
@@ -140,6 +142,15 @@ def test_missing_checkpoint_is_json_error(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] in ("FileNotFoundError", "CheckpointError")
+
+
+def test_corrupt_checkpoint_is_json_error(tmp_path, capsys):
+    blob = C.MAGIC + struct.pack("<IQI", C.VERSION, 0, 0)
+    blob += struct.pack("<I", 1) + b"w" + struct.pack("<IQ", 1, 2 ** 62)
+    (tmp_path / "bad.ckpt").write_bytes(blob)
+    assert main(["eval", str(tmp_path / "bad.ckpt")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "CheckpointError"
 
 
 def test_resume_from_params_only_checkpoint_is_json_error(tiny_cfg, tmp_path,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cftseg import Tensor
+from cftseg import Tensor, backward
 from cftseg.errors import ShapeError
 import cftseg.functional as F
 import cftseg.gradcheck as G
@@ -28,23 +28,28 @@ def ce_oracle(logits, labels):
     return total / n
 
 
-def dice_oracle(logits, target, s=1.0):
+def dice_oracle(logits, target, valid=None, s=1.0):
+    if valid is None:
+        valid = np.ones((target.shape[0], *target.shape[2:]), dtype=bool)
     vals = []
     for bi in range(logits.shape[0]):
         for l in range(logits.shape[1]):
-            t = target[bi, l]
+            t = target[bi, l][valid[bi]]
             if t.sum() == 0:
                 continue
-            p = 1.0 / (1.0 + np.exp(-logits[bi, l]))
+            p = 1.0 / (1.0 + np.exp(-logits[bi, l][valid[bi]]))
             vals.append(1.0 - (2.0 * (p * t).sum() + s) / (p.sum() + t.sum() + s))
     return float(np.mean(vals))
 
 
-def focal_oracle(logits, target, gamma=2.0, alpha=0.25):
+def focal_oracle(logits, target, valid=None, gamma=2.0, alpha=0.25):
     p = 1.0 / (1.0 + np.exp(-logits))
     pt = np.where(target == 1.0, p, 1.0 - p)
     at = np.where(target == 1.0, alpha, 1.0 - alpha)
-    return float(np.mean(-at * (1.0 - pt) ** gamma * np.log(pt)))
+    per_pixel = -at * (1.0 - pt) ** gamma * np.log(pt)
+    if valid is not None:
+        per_pixel = per_pixel.transpose(0, 2, 3, 1)[valid]
+    return float(np.mean(per_pixel))
 
 
 class TestCrossEntropy:
@@ -103,18 +108,21 @@ class TestCrossEntropy:
 class TestMaskTargets:
     def test_same_size_is_exact_one_hot(self):
         labels = np.array([[[0, 1], [2, L.IGNORE_INDEX]]])
-        got = L.build_mask_targets(labels, 3, 2, 2)
+        got, valid = L.build_mask_targets(labels, 3, 2, 2)
         want = np.zeros((1, 3, 2, 2))
         want[0, 0, 0, 0] = want[0, 1, 0, 1] = want[0, 2, 1, 0] = 1.0
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(valid, [[[True, True], [True, False]]])
 
     def test_all_ignore_gives_zero_target(self):
         labels = np.full((2, 4, 4), L.IGNORE_INDEX)
-        np.testing.assert_array_equal(L.build_mask_targets(labels, 3, 2, 2), 0.0)
+        target, valid = L.build_mask_targets(labels, 3, 2, 2)
+        np.testing.assert_array_equal(target, 0.0)
+        assert not valid.any()
 
     def test_4x4_to_2x2_matches_index_sampling(self):
         labels = np.arange(16).reshape(1, 4, 4) % 4
-        got = L.build_mask_targets(labels, 4, 2, 2)
+        got, _ = L.build_mask_targets(labels, 4, 2, 2)
         # cell centers land on source indices 1 and 3
         picked = labels[0][np.ix_([1, 3], [1, 3])]
         for i in range(2):
@@ -123,7 +131,8 @@ class TestMaskTargets:
         assert got.sum() == 4
 
     def test_nearest_indices_identity(self):
-        np.testing.assert_array_equal(L.nearest_indices(5, 5), np.arange(5))
+        labels = np.random.default_rng(0).integers(0, 4, size=(2, 5, 7))
+        np.testing.assert_array_equal(L.downsample_labels(labels, 5, 7), labels)
 
 
 class TestSumMasksOrderly:
@@ -206,14 +215,6 @@ class TestDice:
         assert L.dice_loss(Tensor(np.ones((1, 2, 2, 2))),
                            np.zeros((1, 2, 2, 2))).item() == 0.0
 
-    def test_accepts_unbatched_input(self):
-        rng = np.random.default_rng(9)
-        logits = rng.standard_normal((3, 4, 4))
-        target = (rng.random((3, 4, 4)) > 0.5).astype(float)
-        a = L.dice_loss(Tensor(logits), target).item()
-        b = L.dice_loss(Tensor(logits[None]), target[None]).item()
-        assert a == b
-
     def test_gradient(self):
         rng = np.random.default_rng(10)
         logits = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
@@ -230,17 +231,8 @@ class TestFocal:
         assert L.focal_loss(Tensor(logits), target).item() < 1e-12
 
     def test_single_positive_pixel_closed_form(self):
-        val = L.focal_loss(Tensor(np.zeros((1, 1, 1))), np.ones((1, 1, 1))).item()
+        val = L.focal_loss(Tensor(np.zeros((1, 1, 1, 1))), np.ones((1, 1, 1, 1))).item()
         np.testing.assert_allclose(val, 0.25 * 0.25 * np.log(2.0), rtol=1e-15)
-
-    def test_gamma_zero_uniform_alpha_is_half_bce(self):
-        rng = np.random.default_rng(12)
-        logits = rng.standard_normal((1, 2, 4, 4)) * 2
-        target = (rng.random((1, 2, 4, 4)) > 0.5).astype(float)
-        got = L.focal_loss(Tensor(logits), target, gamma=0.0, alpha=0.5).item()
-        p = 1.0 / (1.0 + np.exp(-logits))
-        bce = np.mean(-target * np.log(p) - (1 - target) * np.log(1 - p))
-        np.testing.assert_allclose(2.0 * got, bce, rtol=1e-12)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(13)
@@ -262,6 +254,32 @@ class TestFocal:
         rows = G.check_gradients(lambda: L.focal_loss(logits, target),
                                  {"logits": logits}, coords_per_tensor=6)
         assert all(r.passed(1e-6) for r in rows)
+
+
+class TestDiceAndFocal:
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    def test_saturated_gradients_are_finite_and_signed(self, loss):
+        # confidently wrong and confidently right at +-800, plus live pixels
+        logits = Tensor(np.array([[[[800.0, -800.0, 800.0, -800.0, 0.5, -0.5]]]]),
+                        requires_grad=True)
+        target = np.array([[[[0.0, 1.0, 1.0, 0.0, 1.0, 0.0]]]])
+        g = backward(loss(logits, target))[logits]
+        assert np.all(np.isfinite(g))
+        assert np.all(g[target == 1.0] <= 0.0) and np.all(g[target == 0.0] >= 0.0)
+        assert g[0, 0, 0, 4] < 0.0 < g[0, 0, 0, 5]
+        if loss is L.focal_loss:  # log p_t keeps its slope where p_t saturates
+            assert g[0, 0, 0, 0] > 0.0 > g[0, 0, 0, 1]
+
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    def test_rejects_unbatched_input(self, loss):
+        with pytest.raises(ShapeError):
+            loss(Tensor(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
+
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    def test_no_kept_pixel_gives_zero(self, loss):
+        target = np.ones((1, 2, 3, 3))
+        valid = np.zeros((1, 3, 3), dtype=bool)
+        assert loss(Tensor(np.zeros((1, 2, 3, 3))), target, valid).item() == 0.0
 
 
 class TestTotalLoss:
@@ -286,16 +304,35 @@ class TestTotalLoss:
         logits, masks, labels = self.case(16)
         out = L.total_loss(logits, masks, labels)
         sums = [s.data for s in L.sum_masks_orderly(masks)]
-        target = L.build_mask_targets(labels, 4, 4, 4)
+        target, valid = L.build_mask_targets(labels, 4, 4, 4)
         want_ce = ce_oracle(logits.data, labels)
-        want_dice = np.mean([dice_oracle(s, target) for s in sums])
-        want_focal = np.mean([focal_oracle(s, target) for s in sums])
+        want_dice = np.mean([dice_oracle(s, target, valid) for s in sums])
+        want_focal = np.mean([focal_oracle(s, target, valid) for s in sums])
         np.testing.assert_allclose(out.ce.item(), want_ce, rtol=1e-12)
         np.testing.assert_allclose(out.dice.item(), want_dice, rtol=1e-12)
         np.testing.assert_allclose(out.focal.item(), want_focal, rtol=1e-12)
         np.testing.assert_allclose(
             out.total.item(),
             want_ce + 2.0 * want_dice + 5.0 * want_focal, rtol=1e-12)
+
+    def test_ignored_half_scores_like_the_kept_half(self):
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.standard_normal((1, 3, 8, 8)))
+        mask = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
+        labels = rng.integers(0, 3, size=(1, 8, 8))
+        kept = L.one_hot(labels[:, :, :4], 3)
+        labels[:, :, 4:] = L.IGNORE_INDEX
+        out = L.total_loss(logits, [mask], labels)
+        half = Tensor(mask.data[..., :4])
+        np.testing.assert_allclose(out.dice.item(),
+                                   L.dice_loss(half, kept).item(), rtol=1e-12)
+        np.testing.assert_allclose(out.focal.item(),
+                                   L.focal_loss(half, kept).item(), rtol=1e-12)
+        np.testing.assert_allclose(out.focal.item(),
+                                   focal_oracle(half.data, kept), rtol=1e-12)
+        grad = backward(out.total, leaves=[mask])[mask]
+        np.testing.assert_array_equal(grad[..., 4:], 0.0)
+        assert np.all(grad[..., :4] != 0.0)
 
     def test_mask_mode_off_reduces_to_ce(self):
         logits, masks, labels = self.case(17)
@@ -307,9 +344,9 @@ class TestTotalLoss:
         logits, masks, labels = self.case(18)
         out = L.total_loss(logits, masks, labels, mask_mode="final")
         (s,) = L.sum_masks_orderly(masks, mode="final")
-        target = L.build_mask_targets(labels, 4, 4, 4)
+        target, valid = L.build_mask_targets(labels, 4, 4, 4)
         np.testing.assert_allclose(out.dice.item(),
-                                   dice_oracle(s.data, target), rtol=1e-12)
+                                   dice_oracle(s.data, target, valid), rtol=1e-12)
 
     def test_rejects_unknown_mode(self):
         logits, masks, labels = self.case(19)

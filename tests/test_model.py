@@ -5,6 +5,7 @@ import pytest
 
 from cftseg import Tensor
 from cftseg.errors import ConfigError
+import cftseg.blocks as B
 import cftseg.functional as F
 import cftseg.model as M
 import cftseg.tensor as T
@@ -128,6 +129,28 @@ def test_same_seed_gives_identical_models():
         np.testing.assert_array_equal(p1[name].data, p2[name].data)
 
 
+def test_parameter_names_are_pinned():
+    # names key checkpoints and optimizer state; their order fixes the
+    # AdamW update order and the gradient audit's coordinate draws
+    linears = ("phi_mask", "phi_feat", "w_q", "w_k", "w_v", "w_o",
+               "ffn_expand", "ffn_project")
+    block = ([f"{n}.{p}" for n in linears for p in ("w", "b")]
+             + ["ffn_dw.w", "ffn_dw.b"]
+             + [f"{n}.{p}" for n in ("norm_embed", "norm_query", "norm_ffn")
+                for p in ("gamma", "beta")])
+    keys = list(M.SegModel(small_config()).named_parameters())
+    assert keys[:24] == ([f"backbone.s{k}.{p}" for k in range(1, 5)
+                          for p in ("conv.w", "conv.b", "dw.w", "dw.b")]
+                         + [f"lateral.s{k}.{p}" for k in range(1, 5) for p in ("w", "b")])
+    assert keys[24:48] == [f"block.s3.{n}" for n in block]
+    assert keys[48:96] == [f"block.s{k}.{n}" for k in (2, 1) for n in block]
+    assert keys[96:] == ["decode.cls.w", "decode.cls.b"]
+    counts = {v: len(M.SegModel(small_config(), variant=v).named_parameters())
+              for v in B.VARIANTS + ("none",)}
+    assert counts == {"cft": 98, "naive": 86, "avgpool": 86, "a": 86, "b": 86,
+                      "c": 86, "none": 26}
+
+
 def test_category_param_surplus_is_exactly_the_phi_heads():
     cfg = small_config()
     full = M.SegModel(cfg, variant="cft", rng=np.random.default_rng(18))
@@ -136,7 +159,7 @@ def test_category_param_surplus_is_exactly_the_phi_heads():
     c, l = cfg.embed_channels, cfg.num_categories
     phi_per_block = (l * c + l) + (c * c + c)
     assert full.parameter_count() - naive.parameter_count() == 3 * phi_per_block
-    block_params = sum(t.size for t in full.blocks[0].named("x").values())
+    block_params = sum(t.size for t in B.named_tensors(full.blocks[0], "x").values())
     assert full.parameter_count() - none.parameter_count() == 3 * block_params
 
 

@@ -11,6 +11,7 @@ from cftseg.data import Dataset, gen_synthetic_dataset
 from cftseg.errors import CheckpointError, ConfigError, DivergedError
 import cftseg.flops as FL
 import cftseg.train as TR
+from cftseg.tensor import Tensor, no_grad
 
 
 def tiny_config(**kw):
@@ -179,6 +180,31 @@ def test_mask_agreement_none_for_maskless_variants():
     cft = TR.build_model(tiny_config())
     value = TR.mask_agreement(cft, ds)
     assert 0.0 <= value <= 1.0
+
+
+def test_mask_agreement_scores_only_kept_pixels():
+    cfg = tiny_config()
+    model = TR.build_model(cfg)
+    ds = TR.default_dataset(cfg)
+    labels = ds.labels.copy()
+    labels[:, :, labels.shape[2] // 2:] = 255
+    with no_grad():
+        _, masks = model(Tensor(ds.images))
+    matched = scored = 0
+    n, size, _ = labels.shape
+    for mask in masks:
+        h, w = mask.shape[2:]
+        for b in range(n):
+            for i in range(h):
+                for j in range(w):
+                    y = labels[b, int((i + 0.5) * size / h), int((j + 0.5) * size / w)]
+                    if y != 255:
+                        scored += 1
+                        matched += int(np.argmax(mask.data[b, :, i, j]) == y)
+    half = Dataset(ds.images, labels, ds.num_categories)
+    assert TR.mask_agreement(model, half) == matched / scored
+    void = Dataset(ds.images, np.full_like(labels, 255), ds.num_categories)
+    assert TR.mask_agreement(model, void) is None
 
 
 def test_run_ablation_rows_and_determinism(tmp_path):
