@@ -1,6 +1,7 @@
 """Category-attention top-down feature aggregation on a small autodiff engine."""
 
-from .errors import CheckpointError, ConfigError, DivergedError, ShapeError
+from .errors import (CheckpointError, ConfigError, DatasetError, DivergedError,
+                     ShapeError)
 from .gradcheck import finite_diff_grad, max_rel_error
 from .tensor import Tensor, backward, no_grad
 
@@ -9,6 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "backward", "no_grad",
     "finite_diff_grad", "max_rel_error",
-    "ShapeError", "ConfigError", "CheckpointError", "DivergedError",
+    "ShapeError", "ConfigError", "DatasetError", "CheckpointError", "DivergedError",
     "__version__",
 ]

@@ -2,9 +2,11 @@
 
 Each fusion step fuses a coarse, semantically strong map `f_high` into
 the finer map `x_low` one pyramid level below it. Every variant runs the
-same body: pre-norm queries attend to key/value rows, the attention
-output is added back as a residual, and a pre-norm FFN adds a second
-residual. `_WIRINGS` holds the only differences, one row per variant:
+same body on (B, C, H, W) maps: pre-norm queries attend to key/value
+rows, the attention output is added back as a residual, and a pre-norm
+FFN adds a second residual. Only the key/value sets become (B, M, C)
+rows, so the query-side map is never transposed. `_WIRINGS` holds the
+only differences, one row per variant:
 
     variant   query map          key/value rows               upsampling
     cft       x_low              category embedding(f_high)   before
@@ -16,7 +18,7 @@ residual. `_WIRINGS` holds the only differences, one row per variant:
 
 The category embedding compresses f_high into one vector per category
 (a spatial softmax over mask logits, used as mixing weights over
-projected features), so cft's x_low pixels attend to L tokens rather
+projected features), so cft's x_low pixels attend to L rows rather
 than to every coarse pixel. "Upsampling after" runs attention at
 f_high's grid and adds its upsampled output to x_low instead of to the
 queries. Pooled maps shrink to the pyramid-top grid.
@@ -148,50 +150,38 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# layout helpers
+# attention
 
 
-def _to_tokens(x: Tensor) -> Tensor:
-    """(B, C, H, W) map -> (B, N, C) token matrix, row-major positions."""
+def _to_rows(x: Tensor) -> Tensor:
+    """(B, C, H, W) map -> (B, H*W, C) rows, row-major positions."""
     b, c, h, w = x.shape
     return transpose(reshape(x, (b, c, h * w)), (0, 2, 1))
 
 
-def _to_map(t: Tensor, h: int, w: int) -> Tensor:
-    b, n, c = t.shape
-    return reshape(transpose(t, (0, 2, 1)), (b, c, h, w))
-
-
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    """(B, N, C) -> (B*heads, N, C/heads), contiguous channel slices per head."""
-    b, n, c = t.shape
-    dh = c // heads
-    return reshape(transpose(reshape(t, (b, n, heads, dh)), (0, 2, 1, 3)),
-                   (b * heads, n, dh))
-
-
-def _merge_heads(t: Tensor, batch: int, heads: int) -> Tensor:
-    _, n, dh = t.shape
-    return reshape(transpose(reshape(t, (batch, heads, n, dh)), (0, 2, 1, 3)),
-                   (batch, n, heads * dh))
-
-
 def _attend(q: Tensor, k: Tensor, v: Tensor, w_o: LinearParams, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (B, N, C) token sets."""
-    b, nq, c = q.shape
+    """Multi-head scaled dot-product attention of a query map over key/value rows.
+
+    `q` is a (B, C, H, W) map; heads own contiguous channel slices, so
+    splitting them is a reshape to (B*heads, C/heads, H*W). `k` and `v`
+    are (B, M, C) rows. Scores are keys x queries with the softmax over
+    the keys, so mixing the values yields a map shaped like `q`.
+    """
+    b, c, h, w = q.shape
     if c % heads:
-        raise ConfigError(f"token width {c} must divide into {heads} heads")
+        raise ConfigError(f"query width {c} must divide into {heads} heads")
     if k.shape != v.shape or k.shape[0] != b or k.shape[2] != c:
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}")
-    dh = c // heads
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
-    scores = bmm(qh, transpose(kh, (0, 2, 1))) * (1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=2)
-    ctx = _merge_heads(bmm(weights, vh), b, heads)
-    return linear(ctx, w_o.w, w_o.b)
+    m, dh = k.shape[1], c // heads
+    qh = reshape(q, (b * heads, dh, h * w))
+    kh = reshape(transpose(reshape(k, (b, m, heads, dh)), (0, 2, 1, 3)),
+                 (b * heads, m, dh))
+    vh = reshape(transpose(reshape(v, (b, m, heads, dh)), (0, 2, 3, 1)),
+                 (b * heads, dh, m))
+    weights = softmax(bmm(kh, qh) * (1.0 / math.sqrt(dh)), axis=1)
+    ctx = reshape(bmm(vh, weights), (b, c, h, w))
+    return conv1x1(ctx, w_o.w, w_o.b)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +208,16 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams
     normed = layer_norm(f_high, params.norm_embed.gamma, params.norm_embed.beta, axis=1)
     mask_logits = conv1x1(normed, params.phi_mask.w, params.phi_mask.b)
     feats = conv1x1(normed, params.phi_feat.w, params.phi_feat.b)
-    n = h * w
-    num_cat = params.phi_mask.w.shape[0]
-    weights = softmax(reshape(mask_logits, (b, num_cat, n)), axis=2)
-    return bmm(weights, _to_tokens(feats)), mask_logits
+    weights = softmax(reshape(mask_logits, (b, mask_logits.shape[1], h * w)), axis=2)
+    return bmm(weights, _to_rows(feats)), mask_logits
 
 
-def _ffn(tokens: Tensor, h: int, w: int, params: CftBlockParams) -> Tensor:
-    """Pre-norm feed-forward: expand, depthwise 3x3 on the spatial map, gelu, project."""
-    normed = layer_norm(tokens, params.norm_ffn.gamma, params.norm_ffn.beta, axis=2)
-    hidden = linear(normed, params.ffn_expand.w, params.ffn_expand.b)
-    spatial = _to_map(hidden, h, w)
-    spatial = gelu(depthwise_conv3x3(spatial, params.ffn_dw.w, params.ffn_dw.b))
-    return linear(_to_tokens(spatial), params.ffn_project.w, params.ffn_project.b)
+def _ffn(x: Tensor, params: CftBlockParams) -> Tensor:
+    """Pre-norm feed-forward on a map: expand, depthwise 3x3, gelu, project."""
+    normed = layer_norm(x, params.norm_ffn.gamma, params.norm_ffn.beta, axis=1)
+    hidden = conv1x1(normed, params.ffn_expand.w, params.ffn_expand.b)
+    hidden = gelu(depthwise_conv3x3(hidden, params.ffn_dw.w, params.ffn_dw.b))
+    return conv1x1(hidden, params.ffn_project.w, params.ffn_project.b)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +271,6 @@ def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
     wiring = _WIRINGS.get(variant)
     if wiring is None:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _, _, h, w = x_low.shape
     query_map = wiring.query(f_high, x_low)
     mask_logits = None
     if wiring.kv is None:
@@ -293,19 +279,16 @@ def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
         source = wiring.kv(f_high, x_low, query_map)
         if wiring.pool:
             source = adaptive_avg_pool(source, *kv_pool_hw)
-        kv_rows = _to_tokens(layer_norm(source, params.norm_embed.gamma,
-                                        params.norm_embed.beta, axis=1))
-    tokens = _to_tokens(query_map)
-    queries = linear(layer_norm(tokens, params.norm_query.gamma,
-                                params.norm_query.beta, axis=2),
-                     params.w_q.w, params.w_q.b)
+        kv_rows = _to_rows(layer_norm(source, params.norm_embed.gamma,
+                                      params.norm_embed.beta, axis=1))
+    queries = conv1x1(layer_norm(query_map, params.norm_query.gamma,
+                                 params.norm_query.beta, axis=1),
+                      params.w_q.w, params.w_q.b)
     attended = _attend(queries, linear(kv_rows, params.w_k.w, params.w_k.b),
                        linear(kv_rows, params.w_v.w, params.w_v.b),
                        params.w_o, params.heads)
     if wiring.upsample_after:
-        hs, ws = query_map.shape[2:]
-        attended = _to_tokens(bilinear_resize(_to_map(attended, hs, ws), h, w) + x_low)
+        attended = _up(attended, x_low) + x_low
     else:
-        attended = attended + tokens
-    out = _ffn(attended, h, w, params) + attended
-    return _to_map(out, h, w), mask_logits
+        attended = attended + query_map
+    return _ffn(attended, params) + attended, mask_logits

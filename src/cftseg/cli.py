@@ -150,10 +150,7 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    dataset = data_mod.gen_synthetic_dataset(config.seed,
-                                             n_images=config.n_images,
-                                             size=config.crop_size,
-                                             num_categories=config.num_categories)
+    dataset = train_mod.default_dataset(config)
     data_mod.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} images ({config.crop_size}x"
           f"{config.crop_size}, {config.num_categories} categories) "

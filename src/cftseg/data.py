@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DatasetError
 
 BACKGROUND_COLOR = (0.35, 0.35, 0.35)
 TEXTURE_AMP = 0.05
@@ -118,8 +118,22 @@ def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a directory written by `save_dataset`; raises DatasetError
+    unless its arrays and metadata fit together."""
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
-    return Dataset(images=np.load(src / "images.npy"),
-                   labels=np.load(src / "labels.npy"),
-                   num_categories=int(meta["num_categories"]))
+    images = np.load(src / "images.npy")
+    labels = np.load(src / "labels.npy")
+    num_categories = meta.get("num_categories") if isinstance(meta, dict) else None
+    if type(num_categories) is not int or num_categories < 2:
+        raise DatasetError(f"meta.json: num_categories must be an integer >= 2, "
+                           f"got {num_categories!r}")
+    if (images.ndim != 4 or images.shape[0] < 1 or images.shape[1] != 3
+            or not np.issubdtype(images.dtype, np.floating)):
+        raise DatasetError(f"images.npy must hold floats shaped (N, 3, H, W), "
+                           f"got {images.dtype} {images.shape}")
+    want = (images.shape[0], *images.shape[2:])
+    if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
+        raise DatasetError(f"labels.npy must hold integers shaped {want}, "
+                           f"got {labels.dtype} {labels.shape}")
+    return Dataset(images=images, labels=labels, num_categories=num_categories)

@@ -9,6 +9,10 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or out of range."""
 
 
+class DatasetError(ValueError):
+    """A dataset directory holds arrays or metadata that do not form a dataset."""
+
+
 class CheckpointError(RuntimeError):
     """A checkpoint file is truncated, corrupt, or from an unknown format."""
 

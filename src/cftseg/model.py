@@ -38,6 +38,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_categories < 2:
             raise ConfigError("need at least two categories")
+        for name in ("embed_channels", "num_heads", "ffn_ratio"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if any(c < 1 for c in self.backbone_channels):
+            raise ConfigError(f"backbone_channels must be positive, "
+                              f"got {self.backbone_channels!r}")
         if self.embed_channels % self.num_heads:
             raise ConfigError(f"embed_channels ({self.embed_channels}) must divide "
                               f"into {self.num_heads} heads")

@@ -186,7 +186,12 @@ def mul(a: Tensor, b) -> Tensor:
         return Tensor._result(a.data * s, (a,), "scale", lambda g: (g * s,))
     _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
-    return Tensor._result(ad * bd, (a, b), "mul", lambda g: (g * bd, g * ad))
+
+    def bwd(g):
+        return (g * bd if a.requires_grad else None,
+                g * ad if b.requires_grad else None)
+
+    return Tensor._result(ad * bd, (a, b), "mul", bwd)
 
 
 def div(a: Tensor, b) -> Tensor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor, backward
+from cftseg.tensor import trace
 from cftseg.errors import ConfigError
 import cftseg.blocks as B
 import cftseg.functional as F
@@ -28,9 +29,10 @@ def fuse(variant, f_high, x_low, params, pool_hw=(2, 2)):
 
 
 def attend(q, k, v, params):
-    """Attention of one sample's (N, C) query, key and value arrays."""
-    return B._attend(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]),
-                     params.w_o, params.heads).data[0]
+    """Attention of one sample's (N, C) query, key and value arrays; the
+    queries go in as a (1, C, N, 1) map and come back as (N, C) rows."""
+    return B._attend(Tensor(q.T[None, :, :, None]), Tensor(k[None]), Tensor(v[None]),
+                     params.w_o, params.heads).data[0, :, :, 0].T
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_identical_keys_average_the_values():
 def test_attention_gradients_reach_all_operands():
     rng = np.random.default_rng(9)
     params = make_params(heads=2, seed=18)
-    q = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
+    q = Tensor(rng.standard_normal((1, 8, 3, 1)), requires_grad=True)
     k = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
     v = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
     grads = backward(B._attend(q, k, v, params.w_o, params.heads).sum())
@@ -322,6 +324,20 @@ def test_variant_b_single_pooled_key_broadcasts_one_vector():
     up = F.bilinear_resize(f_high, 4, 4).data
     attended = (out.data - up)[0].reshape(8, -1).T
     np.testing.assert_allclose(attended, np.tile(attended[0], (16, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", B.VARIANTS)
+def test_pixel_maps_are_never_transposed(variant):
+    # only key/value sets become rows; a transpose as large as x_low
+    # would mean a pixel map was turned into tokens
+    rng = np.random.default_rng(22)
+    params = make_params(seed=30, with_category=variant == "cft")
+    f_high = Tensor(rng.standard_normal((1, 8, 3, 3)), requires_grad=True)
+    x_low = Tensor(rng.standard_normal((1, 8, 6, 6)), requires_grad=True)
+    out, _ = fuse(variant, f_high, x_low, params)
+    big = [t.shape for t in trace(out.sum())
+           if t.op.op == "transpose" and t.size >= x_low.size]
+    assert big == []
 
 
 def test_apply_variant_rejects_unknown_name():

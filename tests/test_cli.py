@@ -138,6 +138,46 @@ def test_bad_config_key_is_one_json_error_line(tmp_path, capsys):
     assert "no_such_knob" in payload["message"]
 
 
+@pytest.mark.parametrize("verb", ["flops", "train"])
+def test_zero_heads_is_json_error(verb, tiny_cfg, tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(TINY + "num_heads = 0\n")
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert "num_heads" in payload["message"]
+
+
+def _train_on_damaged_data(tiny_cfg, tmp_path, damage):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+    damage(data_dir)
+    return main(["train", "--config", str(tiny_cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")])
+
+
+def test_short_labels_file_is_json_error(tiny_cfg, tmp_path, capsys):
+    def drop_a_label(data_dir):
+        np.save(data_dir / "labels.npy", np.load(data_dir / "labels.npy")[:1])
+
+    assert _train_on_damaged_data(tiny_cfg, tmp_path, drop_a_label) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "DatasetError"
+    assert "labels.npy" in payload["message"]
+
+
+def test_meta_without_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
+    def drop_count(data_dir):
+        (data_dir / "meta.json").write_text('{"n_images": 2, "size": 32}\n')
+
+    assert _train_on_damaged_data(tiny_cfg, tmp_path, drop_count) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "DatasetError"
+    assert "num_categories" in payload["message"]
+
+
 def test_missing_checkpoint_is_json_error(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

@@ -1,11 +1,13 @@
 """Synthetic dataset determinism, coverage, and appearance stability."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cftseg.data import (Dataset, category_color, gen_synthetic_dataset,
                          load_dataset, save_dataset)
-from cftseg.errors import ConfigError
+from cftseg.errors import ConfigError, DatasetError
 
 
 def test_same_seed_gives_identical_bytes():
@@ -81,3 +83,26 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.images, ds.images)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.num_categories == 3
+
+
+@pytest.mark.parametrize("damage", [
+    lambda imgs, labels, meta: (imgs, labels[:1], meta),
+    lambda imgs, labels, meta: (imgs, labels[:, :, :-1], meta),
+    lambda imgs, labels, meta: (imgs, labels.astype(np.float64), meta),
+    lambda imgs, labels, meta: (imgs[:, :2], labels, meta),
+    lambda imgs, labels, meta: (imgs.astype(np.int64), labels, meta),
+    lambda imgs, labels, meta: (imgs[0], labels, meta),
+    lambda imgs, labels, meta: (imgs, labels, {}),
+    lambda imgs, labels, meta: (imgs, labels, {"num_categories": 1}),
+    lambda imgs, labels, meta: (imgs, labels, {"num_categories": 3.0}),
+    lambda imgs, labels, meta: (imgs, labels, [3]),
+], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
+        "3d-images", "no-category-count", "one-category", "float-count", "meta-list"])
+def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
+    ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
+    images, labels, meta = damage(ds.images, ds.labels, {"num_categories": 3})
+    np.save(tmp_path / "images.npy", images)
+    np.save(tmp_path / "labels.npy", labels)
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DatasetError):
+        load_dataset(tmp_path)

@@ -170,6 +170,10 @@ def test_config_validation():
         M.ModelConfig(num_categories=4, embed_channels=10, num_heads=4)
     with pytest.raises(ConfigError):
         M.ModelConfig(num_categories=4, backbone_channels=(8, 16))
+    for bad in ({"num_heads": 0}, {"embed_channels": 0}, {"ffn_ratio": 0},
+                {"backbone_channels": (8, 0, 32, 64)}, {"num_heads": -1}):
+        with pytest.raises(ConfigError):
+            M.ModelConfig(num_categories=4, **bad)
     with pytest.raises(ConfigError):
         M.SegModel(small_config(), variant="bogus")
 

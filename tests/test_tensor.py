@@ -36,6 +36,16 @@ def test_elementwise_square_backward():
     np.testing.assert_allclose(grads[x], 2.0 * x.data, rtol=0, atol=1e-15)
 
 
+def test_mul_skips_the_gradient_of_a_constant_operand():
+    x = Tensor(np.linspace(-2, 2, 6), requires_grad=True)
+    c = Tensor(np.arange(6.0))
+    for y, x_slot in ((x * c, 0), (c * x, 1)):
+        grads = y.op.backward(np.ones(6))
+        assert grads[1 - x_slot] is None
+        np.testing.assert_array_equal(grads[x_slot], c.data)
+    np.testing.assert_array_equal(backward((x * c).sum())[x], c.data)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
