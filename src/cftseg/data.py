@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError
+from .losses import check_labels
 
 BACKGROUND_COLOR = (0.35, 0.35, 0.35)
 TEXTURE_AMP = 0.05
@@ -119,7 +120,8 @@ def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
 
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`; raises DatasetError
-    unless its arrays and metadata fit together."""
+    unless its arrays and metadata fit together and every label is a
+    category of meta.json's count or the ignore label 255."""
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
     images = np.load(src / "images.npy")
@@ -136,4 +138,8 @@ def load_dataset(in_dir) -> Dataset:
     if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
         raise DatasetError(f"labels.npy must hold integers shaped {want}, "
                            f"got {labels.dtype} {labels.shape}")
+    try:
+        check_labels(labels, num_categories)
+    except ValueError as err:
+        raise DatasetError(f"labels.npy: {err}") from err
     return Dataset(images=images, labels=labels, num_categories=num_categories)

@@ -52,7 +52,8 @@ def _scalar_zero() -> Tensor:
     return Tensor(np.zeros(()))
 
 
-def _check_labels(labels: np.ndarray, num_categories: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, num_categories: int) -> np.ndarray:
+    """Raise ValueError unless every label is in [0, num_categories) or 255."""
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("labels must be an integer array")
@@ -65,7 +66,7 @@ def _check_labels(labels: np.ndarray, num_categories: int) -> np.ndarray:
 
 def one_hot(labels: np.ndarray, num_categories: int) -> np.ndarray:
     """(B,H,W) indices -> (B,L,H,W) float one-hot; ignored pixels all-zero."""
-    labels = _check_labels(labels, num_categories)
+    labels = check_labels(labels, num_categories)
     flat = labels.reshape(-1)
     out = np.zeros((flat.size, num_categories))
     valid = flat != IGNORE_INDEX
@@ -79,7 +80,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.ndim != 4:
         raise ShapeError(f"cross_entropy expects (B,L,H,W) logits, got {logits.shape}")
     b, num_categories, h, w = logits.shape
-    labels = _check_labels(labels, num_categories)
+    labels = check_labels(labels, num_categories)
     if labels.shape != (b, h, w):
         raise ShapeError(
             f"labels shape {labels.shape} does not match logits {logits.shape}")
@@ -111,7 +112,7 @@ def build_mask_targets(labels: np.ndarray, num_categories: int,
                        out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-downsampled one-hot targets (B,L,out_h,out_w) and the
     (B,out_h,out_w) mask of kept, non-ignored pixels."""
-    small = downsample_labels(_check_labels(labels, num_categories), out_h, out_w)
+    small = downsample_labels(check_labels(labels, num_categories), out_h, out_w)
     return one_hot(small, num_categories), small != IGNORE_INDEX
 
 

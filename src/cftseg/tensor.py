@@ -242,14 +242,37 @@ def logsigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (the fixed choice everywhere)."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
-    t = np.tanh(inner)
+    # t = tanh(C * (x + A * x*x*x)) in place. Not x ** 3: numpy sends that
+    # to libm pow, which costs about ten times the rest of the op.
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
 
     def bwd(g):
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * d,)
+        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2), evaluated in the
+        # order of that expression but in three buffers; about half the time
+        # of one temporary per operation
+        d = 1.0 + t
+        d *= 0.5
+        u = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, u, out=u)
+        v = 0.5 * x
+        v *= u
+        v *= _GELU_C
+        np.multiply(3.0 * _GELU_A, x, out=u)
+        u *= x
+        u += 1.0
+        v *= u
+        d += v
+        d *= g
+        return (d,)
 
-    return Tensor._result(0.5 * x * (1.0 + t), (a,), "gelu", bwd)
+    return Tensor._result(y, (a,), "gelu", bwd)
 
 
 # ---------------------------------------------------------------------------

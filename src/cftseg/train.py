@@ -84,13 +84,24 @@ def _write_log(path: Path, rows: Sequence[dict]) -> None:
                             [repr(row[k]) for k in LOG_HEADER[1:]])
 
 
+def _check_category_count(dataset: Dataset, num_categories: int) -> None:
+    if dataset.num_categories != num_categories:
+        raise ConfigError(f"dataset has num_categories = {dataset.num_categories}, "
+                          f"the model has {num_categories}")
+
+
 def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
           resume=None) -> TrainResult:
-    """Deterministic per (seed, config); logs CSV and saves checkpoints."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Deterministic per (seed, config); logs CSV and saves checkpoints.
+
+    Raises ConfigError when `dataset` has another category count than
+    the config, whose model would score labels it cannot predict.
+    """
     if dataset is None:
         dataset = default_dataset(config)
+    _check_category_count(dataset, config.num_categories)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     model = build_model(config)
     params = model.named_parameters()
@@ -154,7 +165,8 @@ def _forward_batches(model: SegModel, dataset: Dataset, batch_size: int = 8):
 
 
 def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
-    """Single-scale inference metrics over a dataset."""
+    """Single-scale inference metrics over a dataset; ConfigError when the
+    dataset has another category count than the model."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     model = model_or_checkpoint
@@ -162,6 +174,7 @@ def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
         model = load_checkpoint(model)
     if isinstance(model, Checkpoint):
         model, _ = model_from_checkpoint(model)
+    _check_category_count(dataset, model.config.num_categories)
     cm = ConfusionMatrix(dataset.num_categories)
     for logits, _, labels in _forward_batches(model, dataset):
         cm.update(np.argmax(logits.data, axis=1), labels)

@@ -178,6 +178,45 @@ def test_meta_without_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
     assert "num_categories" in payload["message"]
 
 
+def test_label_outside_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
+    def paint_label_three(data_dir):
+        labels = np.load(data_dir / "labels.npy")
+        labels[0, 0, 0] = 3
+        np.save(data_dir / "labels.npy", labels)
+
+    assert _train_on_damaged_data(tiny_cfg, tmp_path, paint_label_three) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "DatasetError"
+    assert "labels.npy" in payload["message"]
+
+
+def test_dataset_category_count_other_than_config_is_json_error(tiny_cfg, tmp_path,
+                                                                capsys):
+    data_dir = tmp_path / "data"
+    four = tmp_path / "four.cfg"
+    four.write_text(TINY.replace("num_categories = 3", "num_categories = 4"))
+    assert main(["gen-data", "--config", str(four), "--out", str(data_dir)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(tiny_cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "num_categories" in payload["message"]
+
+
+def test_eval_on_other_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
+    four = tmp_path / "four.cfg"
+    four.write_text(TINY.replace("num_categories = 3", "num_categories = 4"))
+    assert main(["gen-data", "--config", str(four), "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "run" / "checkpoint_final.ckpt"),
+                 "--data", str(tmp_path / "data")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "num_categories" in payload["message"]
+
+
 def test_missing_checkpoint_is_json_error(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

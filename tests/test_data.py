@@ -96,8 +96,12 @@ def test_save_load_round_trip(tmp_path):
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 1}),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 3.0}),
     lambda imgs, labels, meta: (imgs, labels, [3]),
+    lambda imgs, labels, meta: (imgs, np.where(labels == 2, 3, labels), meta),
+    lambda imgs, labels, meta: (imgs, np.where(labels == 2, -1, labels), meta),
+    lambda imgs, labels, meta: (imgs, labels, {"num_categories": 2}),
 ], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
-        "3d-images", "no-category-count", "one-category", "float-count", "meta-list"])
+        "3d-images", "no-category-count", "one-category", "float-count", "meta-list",
+        "label-past-count", "negative-label", "count-below-labels"])
 def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
     ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
     images, labels, meta = damage(ds.images, ds.labels, {"num_categories": 3})
@@ -106,3 +110,11 @@ def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(DatasetError):
         load_dataset(tmp_path)
+
+
+def test_load_accepts_the_ignore_label(tmp_path):
+    ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
+    labels = ds.labels.copy()
+    labels[:, :4] = 255
+    save_dataset(Dataset(ds.images, labels, 3), tmp_path)
+    np.testing.assert_array_equal(load_dataset(tmp_path).labels, labels)

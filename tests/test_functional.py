@@ -1,5 +1,7 @@
 """NN ops against independent loop oracles, plus per-op gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,24 @@ def depthwise_oracle(x, w, b):
                                 acc += w[c, di, dj] * x[n, c, si, sj]
                     out[n, c, i, j] = acc + (b[c] if b is not None else 0.0)
     return out
+
+
+def depthwise_grad_oracle(x, w, g):
+    """(gx, gw, gb) of depthwise_oracle under upstream gradient g, pixel by pixel."""
+    B, C, H, W = x.shape
+    gx, gw, gb = np.zeros_like(x), np.zeros((C, 3, 3)), np.zeros(C)
+    for n in range(B):
+        for c in range(C):
+            for i in range(H):
+                for j in range(W):
+                    gb[c] += g[n, c, i, j]
+                    for di in range(3):
+                        for dj in range(3):
+                            si, sj = i + di - 1, j + dj - 1
+                            if 0 <= si < H and 0 <= sj < W:
+                                gx[n, c, si, sj] += w[c, di, dj] * g[n, c, i, j]
+                                gw[c, di, dj] += g[n, c, i, j] * x[n, c, si, sj]
+    return gx, gw, gb
 
 
 def layer_norm_oracle(x, gamma, beta, eps, axis):
@@ -168,6 +188,67 @@ def test_depthwise_gradients():
     grads = backward(loss_fn())
     for p in (x, w, b):
         np.testing.assert_allclose(grads[p], finite_diff_grad(loss_fn, p), atol=1e-8)
+
+
+@pytest.mark.parametrize("shape,block", [
+    ((1, 3, 5, 4), None),     # one image, H != W
+    ((2, 3, 1, 1), None),     # 1x1 maps: every tap but the centre is padding
+    ((3, 3, 4, 5), 40),       # blocks of 2 planes: 9 planes end in a partial block
+    ((1, 5, 8, 8), 128),      # blocks of 2 planes: 5 planes end in a partial block
+], ids=["batch1", "1x1", "partial-block-9", "partial-block-5"])
+def test_depthwise_backward_matches_loop_oracle(shape, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(F, "_DW_BLOCK", block)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((shape[1], 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    g = rng.standard_normal(shape)
+    grads = backward((F.depthwise_conv3x3(x, w, b) * Tensor(g)).sum())
+    for got, want in zip((grads[x], grads[w], grads[b]),
+                         depthwise_grad_oracle(x.data, w.data, g)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_depthwise_on_a_transposed_view_matches_loop_oracles(monkeypatch):
+    monkeypatch.setattr(F, "_DW_BLOCK", 60)  # 2 planes of 5x6 per block
+    rng = np.random.default_rng(8)
+    base = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    x = T.transpose(base, (0, 1, 3, 2))
+    assert not x.data.flags.c_contiguous
+    g = rng.standard_normal(x.shape)
+    y = F.depthwise_conv3x3(x, w, b)
+    np.testing.assert_allclose(y.data, depthwise_oracle(x.data, w.data, b.data),
+                               rtol=0, atol=1e-12)
+    grads = backward((y * Tensor(g)).sum())
+    gx, gw, gb = depthwise_grad_oracle(x.data, w.data, g)
+    np.testing.assert_allclose(grads[base], gx.transpose(0, 1, 3, 2), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads[w], gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads[b], gb, rtol=0, atol=1e-10)
+
+
+def test_depthwise_peak_memory_stays_near_the_map_size():
+    # a form that copies 3x3 windows of the map needs more than 10x its bytes
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((2, 32, 48, 48)), requires_grad=True)
+    w = Tensor(rng.standard_normal((32, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(32), requires_grad=True)
+    g = rng.standard_normal(x.shape)
+    tracemalloc.start()
+    try:
+        y = F.depthwise_conv3x3(x, w, b)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()  # the backward's peak includes what the forward holds
+        grads = y.op.backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == x.shape
+    # the output alone is one map: a smaller peak would mean nothing was traced
+    assert x.data.nbytes <= forward_peak <= 4 * x.data.nbytes
+    assert x.data.nbytes <= backward_peak <= 5 * x.data.nbytes
 
 
 # --------------------------------------------------------------------------
@@ -399,12 +480,15 @@ def test_randomized_op_gradients(trial):
     H = int(rng.integers(2, 7))
     W = int(rng.integers(2, 7))
     x = Tensor(rng.standard_normal((B, C, H, W)), requires_grad=True)
+    taps = np.random.default_rng(200 + trial)
+    dw_w, dw_b = Tensor(taps.standard_normal((C, 3, 3))), Tensor(taps.standard_normal(C))
     cases = {
         "softmax": lambda t: F.softmax(t, axis=1),
         "resize": lambda t: F.bilinear_resize(t, H + 2, max(1, W - 1)),
         "pool": lambda t: F.adaptive_avg_pool(t, max(1, H // 2), max(1, W // 2)),
         "gelu": T.gelu,
         "sigmoid": T.sigmoid,
+        "depthwise": lambda t: F.depthwise_conv3x3(t, dw_w, dw_b),
     }
     for name, fn in cases.items():
         out_shape = fn(Tensor(x.data)).shape

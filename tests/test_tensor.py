@@ -7,6 +7,7 @@ from cftseg import Tensor, backward, no_grad
 from cftseg.errors import ShapeError
 from cftseg import tensor as T
 import cftseg.functional as F
+from oracles import GELU_C, gelu_o
 
 
 def test_tensor_wraps_float64_copy():
@@ -201,3 +202,26 @@ def test_sigmoid_saturates_without_overflow():
     assert np.all(np.isfinite(ls))
     np.testing.assert_allclose(ls[2], 0.0, atol=1e-12)
     np.testing.assert_allclose(ls[0], -800.0, atol=1e-12)
+
+
+def test_gelu_matches_the_oracle_and_its_closed_form_derivative():
+    x = np.linspace(-10.0, 10.0, 20001)
+    t = np.tanh(GELU_C * (x + 0.044715 * x ** 3))
+    slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3 * 0.044715 * x * x)
+    g = np.random.default_rng(7).standard_normal(x.shape)
+    xt = Tensor(x, requires_grad=True)
+    y = T.gelu(xt)
+    # 1 + tanh cancels in the negative tail, so both forms are only exact
+    # to an ulp of the function's scale there, not of its tiny value
+    np.testing.assert_allclose(y.data, gelu_o(x), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(backward((y * Tensor(g)).sum())[xt], g * slope,
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_gelu_saturates_exactly():
+    x = Tensor(np.array([1e3, -1e3]), requires_grad=True)
+    y = T.gelu(x)
+    assert y.data[0] == 1e3 and y.data[1] == 0.0
+    grad = backward(y.sum())[x]
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_array_equal(grad, [1.0, 0.0])

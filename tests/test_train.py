@@ -130,6 +130,16 @@ def test_non_finite_loss_aborts_with_diagnostics(tmp_path):
     assert (tmp_path / "diverged.json").exists()
 
 
+@pytest.mark.parametrize("num_categories", [2, 4])
+def test_dataset_category_count_must_match_config(tmp_path, num_categories):
+    cfg = tiny_config()
+    ds = gen_synthetic_dataset(seed=0, n_images=2, size=32,
+                               num_categories=num_categories)
+    with pytest.raises(ConfigError, match="num_categories"):
+        TR.train(cfg, tmp_path / "run", dataset=ds)
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_roundtrip_and_empty_dataset(tmp_path):
     cfg = tiny_config()
     res = TR.train(cfg, tmp_path)
