@@ -18,7 +18,7 @@ class CheckpointError(RuntimeError):
 
 
 class DivergedError(RuntimeError):
-    """Training produced a non-finite loss and was aborted."""
+    """Training produced a non-finite loss, gradient or parameter and was aborted."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

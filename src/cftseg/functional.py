@@ -17,7 +17,7 @@ from .errors import ShapeError
 from .tensor import Array, Tensor
 
 __all__ = [
-    "linear", "conv1x1", "depthwise_conv3x3", "softmax", "log_softmax",
+    "linear", "conv1x1", "depthwise_conv3x3", "softmax",
     "layer_norm", "bilinear_resize", "adaptive_avg_pool",
 ]
 
@@ -188,18 +188,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
     return Tensor._result(y, (x,), "softmax", bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed without forming tiny probabilities."""
-    axis = axis % x.ndim
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def bwd(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._result(y, (x,), "log_softmax", bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,

@@ -4,21 +4,20 @@ The mask terms act on per-category sigmoid probabilities of summed stage
 logits, against one-hot targets from nearest-downsampled labels; the pixel
 term is a softmax cross-entropy over categories. Pixels labelled 255 are
 left out of every term. The weighted total is ``ce + 2*dice + 5*focal``
-and every component is built from differentiable tensor ops so the whole
-breakdown backpropagates.
+and the whole breakdown backpropagates; cross-entropy, dice and focal are
+each one tape record with a closed-form backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .functional import bilinear_resize, log_softmax
-from .tensor import Tensor, logsigmoid, neg, sigmoid
+from .functional import bilinear_resize
+from .tensor import Tensor, concat, sigmoid_parts
 
 IGNORE_INDEX = 255
 LAMBDA_DICE = 2.0
@@ -76,7 +75,11 @@ def one_hot(labels: np.ndarray, num_categories: int) -> np.ndarray:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over non-ignored pixels."""
+    """Mean negative log-likelihood over non-ignored pixels.
+
+    Per kept pixel the loss is logsumexp(z) - z[label]; its gradient is
+    (softmax(z) - onehot(label)) / n_kept, and zero at ignored pixels.
+    """
     if logits.ndim != 4:
         raise ShapeError(f"cross_entropy expects (B,L,H,W) logits, got {logits.shape}")
     b, num_categories, h, w = logits.shape
@@ -84,12 +87,25 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != (b, h, w):
         raise ShapeError(
             f"labels shape {labels.shape} does not match logits {logits.shape}")
-    n_valid = int(np.count_nonzero(labels != IGNORE_INDEX))
+    kept = labels != IGNORE_INDEX
+    n_valid = int(np.count_nonzero(kept))
     if n_valid == 0:
         raise ValueError("cross_entropy: every pixel is ignored")
-    target = Tensor(one_hot(labels, num_categories))
-    logp = log_softmax(logits, axis=1)
-    return (logp * target).sum() * (-1.0 / n_valid)
+    # the label's plane at each pixel; 255 matches none, so ignored pixels
+    # have no hit
+    hit = labels[:, None] == np.arange(num_categories)[:, None, None]
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=1, keepdims=True)
+    loss = (np.log(norm[:, 0][kept]).sum() - shifted[hit].sum()) * (1.0 / n_valid)
+
+    def bwd(g):
+        grad = exp / norm
+        grad -= hit
+        grad *= kept[:, None] * (g / n_valid)
+        return (grad,)
+
+    return Tensor._result(np.asarray(loss), (logits,), "cross_entropy", bwd)
 
 
 def _nearest_indices(src_len: int, dst_len: int) -> np.ndarray:
@@ -154,40 +170,74 @@ def dice_loss(mask_logits: Tensor, target: np.ndarray,
     Pixels where `valid` (B,H,W) is false are left out of every sum. A
     category counts as present when its target plane has any positive
     kept pixel in that sample; an all-empty target yields a zero loss.
+    Per (sample, category) pair the loss is 1 - N/D with N = 2*inter + 1
+    and D = psum + tsum + 1; its derivative in a kept pixel's probability
+    p is N/D**2 - 2*target/D, and p in the logit has slope p*(1 - p).
     """
     target, keep = _check_mask_input(mask_logits, target, valid)
-    probs = sigmoid(mask_logits) * Tensor(keep)
-    inter = (probs * Tensor(target)).sum(axis=(2, 3))
-    psum = probs.sum(axis=(2, 3))
     tsum = (target * keep).sum(axis=(2, 3))
     present = (tsum > 0).astype(np.float64)
     n_present = present.sum()
     if n_present == 0:
         return _scalar_zero()
-    per_pair = 1.0 - (inter * 2.0 + DICE_SMOOTH) / (psum + Tensor(tsum) + DICE_SMOOTH)
-    return (per_pair * Tensor(present)).sum() * (1.0 / n_present)
+    prob, prob_neg, _ = sigmoid_parts(mask_logits.data)
+    probs = prob * keep
+    inter = (probs * target).sum(axis=(2, 3))
+    psum = probs.sum(axis=(2, 3))
+    num = inter * 2.0 + DICE_SMOOTH
+    den = psum + tsum + DICE_SMOOTH
+    per_pair = 1.0 - num / den
+    loss = (per_pair * present).sum() * (1.0 / n_present)
+
+    def bwd(g):
+        scale = present * (g / n_present)
+        grad = target * (scale * (-2.0 / den))[:, :, None, None]
+        grad += (scale * num / (den * den))[:, :, None, None]
+        grad *= keep
+        grad *= prob
+        grad *= prob_neg
+        return (grad,)
+
+    return Tensor._result(np.asarray(loss), (mask_logits,), "dice", bwd)
 
 
 def focal_loss(mask_logits: Tensor, target: np.ndarray,
                valid: np.ndarray | None = None) -> Tensor:
     """Binary focal loss on per-category sigmoid maps, mean over kept pixels.
 
-    Targets are binary. With the signed logit s = z*(2t-1),
-    log p_t = logsigmoid(s) and 1 - p_t = sigmoid(-s), so saturated logits
-    stay finite; the focusing term (1 - p_t)**2 fixes gamma at 2. Pixels where
-    `valid` (B,H,W) is false weigh zero; with none kept the loss is zero.
+    Targets are binary. With the signed logit s = z*(2t-1), p_t =
+    sigmoid(s) and 1 - p_t = sigmoid(-s) come from one exp(-|s|), and
+    log p_t = min(s, 0) - log1p(exp(-|s|)), so saturated logits stay
+    finite; the focusing term (1 - p_t)**2 fixes gamma at 2. The
+    derivative of (1 - p_t)**2 log p_t in s is (1 - p_t)**2 (1 - p_t -
+    2 p_t log p_t). Pixels where `valid` (B,H,W) is false weigh zero;
+    with none kept the loss is zero.
     """
     target, keep = _check_mask_input(mask_logits, target, valid)
     n_kept = keep.sum()
     if n_kept == 0:
         return _scalar_zero()
-    signed = mask_logits * Tensor(target * 2.0 - 1.0)
-    miss = sigmoid(neg(signed))
+    sign = target * 2.0 - 1.0
+    signed = mask_logits.data * sign
+    hit, miss, exp_neg = sigmoid_parts(signed)
+    log_hit = np.minimum(signed, 0.0) - np.log1p(exp_neg)
     alpha_t = target * FOCAL_ALPHA + (1.0 - target) * (1.0 - FOCAL_ALPHA)
     # -alpha_t, rescaled by size / n_kept so that the mean runs over kept
     # pixels; the factor is exactly 1.0 when all are kept
-    weight = Tensor(alpha_t * keep * (-target.size / n_kept))
-    return (weight * logsigmoid(signed) * (miss * miss)).mean()
+    weight = alpha_t * keep * (-target.size / n_kept)
+    miss_sq = miss * miss
+    loss = (weight * log_hit * miss_sq).mean()
+
+    def bwd(g):
+        grad = hit * log_hit
+        grad *= -2.0
+        grad += miss
+        grad *= miss_sq
+        grad *= weight
+        grad *= sign * (g / target.size)
+        return (grad,)
+
+    return Tensor._result(np.asarray(loss), (mask_logits,), "focal", bwd)
 
 
 def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
@@ -200,10 +250,14 @@ def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
         sums = sum_masks_orderly(masks, mode=mask_mode)
         _, num_categories, out_h, out_w = sums[0].shape
         target, valid = build_mask_targets(labels, num_categories, out_h, out_w)
-        dice_terms = [dice_loss(s, target, valid) for s in sums]
-        focal_terms = [focal_loss(s, target, valid) for s in sums]
-        dice = reduce(lambda a, b: a + b, dice_terms) * (1.0 / len(sums))
-        focal = reduce(lambda a, b: a + b, focal_terms) * (1.0 / len(sums))
+        # every running sum faces the same targets, so the mean of the
+        # per-sum losses is the loss of the sums stacked along the batch
+        copies = len(sums)
+        stacked = concat(sums, axis=0)
+        target = np.tile(target, (copies, 1, 1, 1))
+        valid = np.tile(valid, (copies, 1, 1))
+        dice = dice_loss(stacked, target, valid)
+        focal = focal_loss(stacked, target, valid)
     else:
         dice = _scalar_zero()
         focal = _scalar_zero()

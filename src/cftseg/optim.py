@@ -7,7 +7,7 @@ from typing import Mapping
 import numpy as np
 
 from .checkpoint import _restore_arrays
-from .errors import ConfigError
+from .errors import ConfigError, DivergedError
 from .tensor import Tensor
 
 
@@ -39,7 +39,14 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
 
 class AdamW:
-    """Tracks first/second moments per named parameter; decay is decoupled."""
+    """AdamW over flat vectors; decay is decoupled and uniform.
+
+    The parameters, both moments and a gradient buffer are four contiguous
+    float64 vectors. Each parameter's `data` and its `m[name]`, `v[name]`
+    entries are reshaped views into them, so a step is a dozen whole-vector
+    numpy calls, in the operation order of `adamw_step` and bit-identical
+    to it per parameter.
+    """
 
     def __init__(self, params: Mapping[str, Tensor],
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -49,15 +56,59 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        tensors = list(self.params.values())
+        self._ends = np.cumsum([p.size for p in tensors], dtype=np.int64)
+        # the four vectors and two work buffers are rows of one block; with
+        # six separate allocations per optimizer the peak RSS of 128 px
+        # naive bench runs spread over 437-500 MB, with one over 437-466 MB
+        (self._param, self._m, self._v, self._grad,
+         *self._work) = np.zeros((6, int(self._ends[-1])))
+        np.concatenate([p.data for p in tensors], axis=None, out=self._param)
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        for (name, p), end in zip(self.params.items(), self._ends):
+            part = slice(int(end) - p.size, int(end))
+            p.data = self._param[part].reshape(p.shape)
+            self.m[name] = self._m[part].reshape(p.shape)
+            self.v[name] = self._v[part].reshape(p.shape)
 
     def step(self, grads: Mapping[Tensor, np.ndarray], lr: float) -> None:
+        """Apply one update. Raises DivergedError, naming the first
+        parameter in order that holds a non-finite value, when a gradient
+        is non-finite (before anything is updated) or when a parameter is
+        non-finite after the update."""
+        grad, param, m, v = self._grad, self._param, self._m, self._v
+        np.concatenate([grads[p] for p in self.params.values()], axis=None,
+                       out=grad)
+        self._check_finite(grad, "gradient")
         self.step_count += 1
-        for name, p in self.params.items():
-            adamw_step(p.data, grads[p], self.m[name], self.v[name],
-                       self.step_count, lr, self.betas, self.eps,
-                       self.weight_decay)
+        beta1, beta2 = self.betas
+        a, b = self._work
+        # the operations of adamw_step in its order, so results are bit-identical
+        m *= beta1
+        m += np.multiply(1.0 - beta1, grad, out=a)
+        v *= beta2
+        np.multiply(1.0 - beta2, grad, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1.0 - beta1 ** self.step_count, out=a)
+        np.divide(v, 1.0 - beta2 ** self.step_count, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        a += np.multiply(self.weight_decay, param, out=b)
+        a *= lr
+        param -= a
+        self._check_finite(param, "parameter")
+
+    def _check_finite(self, flat: np.ndarray, what: str) -> None:
+        if np.isfinite(flat).all():
+            return
+        first = int(np.flatnonzero(~np.isfinite(flat))[0])
+        name = list(self.params)[int(np.searchsorted(self._ends, first, side="right"))]
+        raise DivergedError(f"non-finite {what} in {name}",
+                            diagnostics={"reason": f"non-finite {what}",
+                                         "parameter": name})
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Operations execute eagerly on numpy arrays; only the ops the model and its
-objective use live here, the fused layers in functional.py. With gradients
-enabled every op leaves an `OpRecord` on its output; `backward` replays the
-records reachable from a scalar loss in reverse topological order, adding
-up gradients in a fixed order so results are bit-reproducible per graph.
+objective use live here, the fused layers in functional.py and the
+closed-form losses in losses.py. With gradients enabled every op leaves an
+`OpRecord` on its output; `backward` replays the records reachable from a
+scalar loss in reverse topological order, adding up gradients in a fixed
+order so results are bit-reproducible per graph.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class OpRecord:
 class Tensor:
     """A dense n-d array of float64 values, optionally tracked on the tape.
 
-    Tensors are treated as immutable once created; the training harness
-    is the only place that rewrites parameter storage, and it does so
-    between backward passes.
+    Tensors are treated as immutable once created. Parameter storage is
+    rewritten only between backward passes: `AdamW` rebinds each
+    parameter's `data` to a view of its flat vector when it is built and
+    updates it in place, and loading a checkpoint copies values into it.
     """
 
     __slots__ = ("data", "requires_grad", "op")
@@ -98,7 +100,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.reshape(()))
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -110,34 +112,16 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return rsub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
     def transpose(self, axes=None) -> "Tensor":
         return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis, keepdims)
 
 
 def _as_scalar(x) -> float | None:
@@ -164,22 +148,6 @@ def add(a: Tensor, b) -> Tensor:
     return Tensor._result(a.data + b.data, (a, b), "add", lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return Tensor._result(a.data - s, (a,), "sub_const", lambda g: (g,))
-    _check_same_shape("sub", a, b)
-    return Tensor._result(a.data - b.data, (a, b), "sub", lambda g: (g, -g))
-
-
-def rsub(a: Tensor, s) -> Tensor:
-    """s - a for a python scalar s."""
-    sv = _as_scalar(s)
-    if sv is None:
-        raise ShapeError("rsub expects a scalar left operand")
-    return Tensor._result(sv - a.data, (a,), "rsub_const", lambda g: (-g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
@@ -192,51 +160,6 @@ def mul(a: Tensor, b) -> Tensor:
                 g * ad if b.requires_grad else None)
 
     return Tensor._result(ad * bd, (a, b), "mul", bwd)
-
-
-def div(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return mul(a, 1.0 / s)
-    _check_same_shape("div", a, b)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return g / bd, -g * ad / (bd * bd)
-
-    return Tensor._result(ad / bd, (a, b), "div", bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor._result(-a.data, (a,), "neg", lambda g: (-g,))
-
-
-def _stable_sigmoid(x: Array) -> Array:
-    """1 / (1 + exp(-x)), exponentiating only non-positive values."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    y[~pos] = ez / (1.0 + ez)
-    return y
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _stable_sigmoid(a.data)
-    return Tensor._result(y, (a,), "sigmoid", lambda g: (g * y * (1.0 - y),))
-
-
-def logsigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(a)), evaluated without overflow at either tail."""
-    ad = a.data
-    y = np.empty_like(ad)
-    pos = ad >= 0
-    y[pos] = -np.log1p(np.exp(-ad[pos]))
-    y[~pos] = ad[~pos] - np.log1p(np.exp(ad[~pos]))
-
-    # d/dx log(sigmoid(x)) = sigmoid(-x)
-    return Tensor._result(y, (a,), "logsigmoid",
-                          lambda g: (g * _stable_sigmoid(-ad),))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -273,6 +196,22 @@ def gelu(a: Tensor) -> Tensor:
         return (d,)
 
     return Tensor._result(y, (a,), "gelu", bwd)
+
+
+def sigmoid_parts(x: Array) -> tuple[Array, Array, Array]:
+    """sigmoid(x), sigmoid(-x) and exp(-|x|), for the closed-form losses.
+
+    Only non-positive values are exponentiated, so both tails stay finite;
+    log(sigmoid(x)) is min(x, 0) - log1p(exp(-|x|)).
+    """
+    exp_neg = np.exp(-np.abs(x))
+    denom = 1.0 + exp_neg
+    pos = x >= 0
+    p = np.where(pos, 1.0, exp_neg)
+    p /= denom
+    q = np.where(pos, exp_neg, 1.0)
+    q /= denom
+    return p, q, exp_neg
 
 
 # ---------------------------------------------------------------------------
@@ -337,47 +276,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
                           tensors, "concat", bwd)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _norm_axes(axis, ndim) -> tuple[int, ...] | None:
-    if axis is None:
-        return None
-    if isinstance(axis, (int, np.integer)):
-        axis = (int(axis),)
-    return tuple(sorted(a % ndim for a in axis))
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    shape = a.shape
-
-    def bwd(g):
-        if axes is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(ge, shape).copy(),)
-
-    data = a.data.sum(axis=axes, keepdims=keepdims)
-    return Tensor._result(np.asarray(data), (a,), "sum", bwd)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    shape = a.shape
-    count = a.size if axes is None else int(np.prod([shape[ax] for ax in axes]))
-
-    def bwd(g):
-        if axes is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(ge / count, shape).copy(),)
-
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    return Tensor._result(np.asarray(data), (a,), "mean", bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -90,12 +90,22 @@ def _check_category_count(dataset: Dataset, num_categories: int) -> None:
                           f"the model has {num_categories}")
 
 
+def _diverged(out: Path, err: DivergedError, record: dict) -> NoReturn:
+    """Write `diverged.json` (the step's record plus what went non-finite,
+    and where) and raise `err` with the same diagnostics."""
+    err.diagnostics = {**record, **err.diagnostics}
+    (out / "diverged.json").write_text(json.dumps(err.diagnostics) + "\n")
+    raise err
+
+
 def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
           resume=None) -> TrainResult:
     """Deterministic per (seed, config); logs CSV and saves checkpoints.
 
     Raises ConfigError when `dataset` has another category count than
-    the config, whose model would score labels it cannot predict.
+    the config, whose model would score labels it cannot predict, and
+    DivergedError, after writing `diverged.json`, when a loss, a gradient
+    or an updated parameter is non-finite.
     """
     if dataset is None:
         dataset = default_dataset(config)
@@ -132,14 +142,17 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
         breakdown = total_loss(logits, masks, labels,
                                mask_mode=config.mask_loss_mode)
         values = breakdown.floats()
+        record = {"iteration": iteration, "lr": lr, **values}
         if not all(np.isfinite(v) for v in values.values()):
-            record = {"iteration": iteration, "lr": lr, **values}
-            (out / "diverged.json").write_text(json.dumps(record) + "\n")
-            raise DivergedError("non-finite loss", diagnostics=record)
+            _diverged(out, DivergedError("non-finite loss", diagnostics={
+                "reason": "non-finite loss"}), record)
         grads = backward(breakdown.total, leaves=leaves)
-        optimizer.step(grads, lr)
+        try:
+            optimizer.step(grads, lr)
+        except DivergedError as err:
+            _diverged(out, err, record)
         if iteration % config.log_every == 0 or iteration == config.total_iters - 1:
-            rows.append({"iteration": iteration, "lr": lr, **values})
+            rows.append(record)
         done = iteration + 1
         if config.checkpoint_every and done % config.checkpoint_every == 0 \
                 and done < config.total_iters:

@@ -15,6 +15,7 @@ import pytest
 import cftseg.tensor
 from cftseg import Tensor
 from cftseg.model import ModelConfig, SegModel
+from scalar import dot
 
 PROBES = Path(__file__).resolve().parent.parent / "bench" / "probes.py"
 
@@ -38,7 +39,7 @@ def test_tracer_counts_every_hook(variant):
     tracer.install()
     try:
         logits, _ = model(images)
-        cftseg.tensor.backward((logits * logits).mean())
+        cftseg.tensor.backward(dot(logits, logits) * (1.0 / logits.size))
     finally:
         tracer.uninstall()
     calls = tracer.calls["check"]

@@ -10,6 +10,7 @@ import cftseg.blocks as B
 import cftseg.functional as F
 
 import oracles
+from scalar import dot
 
 
 def make_params(channels=8, num_categories=3, heads=2, ffn_ratio=2, seed=0,
@@ -162,7 +163,7 @@ def test_attention_gradients_reach_all_operands():
     q = Tensor(rng.standard_normal((1, 8, 3, 1)), requires_grad=True)
     k = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
     v = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
-    grads = backward(B._attend(q, k, v, params.w_o, params.heads).sum())
+    grads = backward(dot(B._attend(q, k, v, params.w_o, params.heads)))
     for t in (q, k, v):
         assert np.abs(grads[t]).max() > 0
 
@@ -224,7 +225,7 @@ def test_block_gradients_spot_check():
 
     def loss_fn():
         out, masks = fuse("cft", f_high, x_low, params)
-        return (out * proj).sum() + (masks * masks).mean()
+        return dot(out, proj) + dot(masks, masks) * (1.0 / masks.size)
 
     from cftseg.gradcheck import check_gradients
     rows = check_gradients(loss_fn, B.named_tensors(params, "blk"),
@@ -335,7 +336,7 @@ def test_pixel_maps_are_never_transposed(variant):
     f_high = Tensor(rng.standard_normal((1, 8, 3, 3)), requires_grad=True)
     x_low = Tensor(rng.standard_normal((1, 8, 6, 6)), requires_grad=True)
     out, _ = fuse(variant, f_high, x_low, params)
-    big = [t.shape for t in trace(out.sum())
+    big = [t.shape for t in trace(dot(out))
            if t.op.op == "transpose" and t.size >= x_low.size]
     assert big == []
 

@@ -248,6 +248,21 @@ def test_resume_from_params_only_checkpoint_is_json_error(tiny_cfg, tmp_path,
     assert "adam_m/" in payload["message"]
 
 
+def test_resume_is_bit_exact(tmp_path, capsys):
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(TINY.replace("total_iters = 3", "total_iters = 4")
+                   + "checkpoint_every = 2\n")
+    full, resumed = tmp_path / "full", tmp_path / "resumed"
+    assert main(["train", "--config", str(cfg), "--out", str(full)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(resumed),
+                 "--resume", str(full / "checkpoint_000002.ckpt")]) == 0
+    assert ((resumed / "checkpoint_final.ckpt").read_bytes()
+            == (full / "checkpoint_final.ckpt").read_bytes())
+    full_rows = (full / "train_log.csv").read_text().splitlines()
+    resumed_rows = (resumed / "train_log.csv").read_text().splitlines()
+    assert resumed_rows == [full_rows[0]] + full_rows[3:]
+
+
 def test_module_runs_as_subprocess(tiny_cfg, tmp_path):
     run = tmp_path / "run"
     proc = subprocess.run(

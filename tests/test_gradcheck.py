@@ -6,18 +6,19 @@ from cftseg import Tensor, backward, finite_diff_grad, max_rel_error
 from cftseg.gradcheck import check_gradients
 import cftseg.functional as F
 import cftseg.tensor as T
+from scalar import dot
 
 
 def test_gradient_of_sum_is_ones():
     x = Tensor(np.arange(5.0))
-    np.testing.assert_allclose(finite_diff_grad(lambda t: t.sum(), x),
+    np.testing.assert_allclose(finite_diff_grad(dot, x),
                                np.ones(5), atol=1e-9)
 
 
 def test_gradient_of_half_norm_squared_is_x():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((3, 3)))
-    g = finite_diff_grad(lambda t: ((t * t).sum() * 0.5), x)
+    g = finite_diff_grad(lambda t: dot(t, t) * 0.5, x)
     np.testing.assert_allclose(g, x.data, atol=1e-8)
 
 
@@ -25,7 +26,7 @@ def test_perturbation_is_restored_exactly():
     data = np.array([0.1, -0.7, 2.3])
     x = Tensor(data)
     before = x.data.copy()
-    finite_diff_grad(lambda t: (t * t).sum(), x)
+    finite_diff_grad(lambda t: dot(t, t), x)
     np.testing.assert_array_equal(x.data, before)
 
 
@@ -39,7 +40,7 @@ def test_check_gradients_reports_per_group():
         h = F.linear(x, T.transpose(w))
         rows = [F.linear(Tensor(np.eye(6)[i:i + 1]), T.transpose(h)).reshape((4,)) + b
                 for i in range(6)]
-        return T.gelu(T.concat(rows, axis=0)).sum()
+        return dot(T.gelu(T.concat(rows, axis=0)))
 
     rows = check_gradients(loss_fn, {"w": w, "b": b}, coords_per_tensor=6, seed=7)
     assert {r.name for r in rows} == {"w", "b"}
@@ -55,7 +56,7 @@ def test_linear_only_model_is_exact_to_1e10():
     proj = Tensor(rng.standard_normal((5,)))
 
     def loss_fn():
-        return (F.linear(x.reshape((1, 5)), w).reshape((5,)) * proj).sum()
+        return dot(F.linear(x.reshape((1, 5)), w).reshape((5,)), proj)
 
     grads = backward(loss_fn())
     numeric = finite_diff_grad(lambda _: loss_fn(), w, h=1e-3)
@@ -71,7 +72,7 @@ def test_broken_backward_rule_is_flagged():
     x = Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True)
 
     def loss_fn():
-        return (leaky_double(x) * Tensor(x.data)).sum()
+        return dot(leaky_double(x), x.data)
 
     rows = check_gradients(loss_fn, {"x": x}, coords_per_tensor=8)
     assert not rows[0].passed(1e-4)

@@ -1,5 +1,7 @@
 """Loss components vs per-pixel scalar oracles, closed forms, gradients."""
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cftseg import Tensor, backward
 from cftseg.errors import ShapeError
 import cftseg.functional as F
 import cftseg.gradcheck as G
+from cftseg import finite_diff_grad, max_rel_error
 import cftseg.losses as L
 
 
@@ -361,3 +364,48 @@ class TestTotalLoss:
             lambda: L.total_loss(logits, masks, labels).total,
             params, coords_per_tensor=4)
         assert all(r.passed(1e-4) for r in rows), [r for r in rows if not r.passed(1e-4)]
+
+
+# ---------------------------------------------------------------------------
+# closed-form gradients against central differences on drawn inputs
+
+
+@st.composite
+def loss_cases(draw):
+    """(B,L,H,W) logits in [-50, 50], labels with some pixels ignored (at
+    least one kept), and an independent binary mask target."""
+    b, l, h, w = (draw(st.integers(1, hi)) for hi in (2, 4, 4, 4))
+    logits = draw(arrays(np.float64, (b, l, h, w),
+                         elements=st.floats(-50.0, 50.0)))
+    labels = draw(arrays(np.int64, (b, h, w), elements=st.integers(0, l - 1)))
+    ignored = draw(arrays(np.bool_, (b, h, w)))
+    ignored.flat[draw(st.integers(0, ignored.size - 1))] = False
+    labels[ignored] = L.IGNORE_INDEX
+    target = draw(arrays(np.float64, (b, l, h, w),
+                         elements=st.sampled_from([0.0, 1.0])))
+    return logits, labels, target
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def _gradient_error(loss_fn, logits):
+    x = Tensor(logits.copy(), requires_grad=True)
+    analytic = backward(loss_fn(x), leaves=[x])[x]
+    return max_rel_error(analytic, finite_diff_grad(loss_fn, x))
+
+
+@PROPERTY
+@given(loss_cases())
+def test_cross_entropy_gradient_matches_central_differences(case):
+    logits, labels, _ = case
+    assert _gradient_error(lambda t: L.cross_entropy(t, labels), logits) < 1e-5
+
+
+@pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+@PROPERTY
+@given(case=loss_cases())
+def test_mask_loss_gradient_matches_central_differences(loss, case):
+    logits, labels, target = case
+    valid = labels != L.IGNORE_INDEX
+    assert _gradient_error(lambda t: loss(t, target, valid), logits) < 1e-5

@@ -9,6 +9,7 @@ import cftseg.blocks as B
 import cftseg.functional as F
 import cftseg.model as M
 import cftseg.tensor as T
+from scalar import dot
 
 
 def small_config(**kw):
@@ -188,7 +189,9 @@ def test_gradients_flow_to_every_parameter_after_warmup():
                        zero_residual_paths=False)
     images = Tensor(np.random.default_rng(20).standard_normal((1, 3, 64, 64)))
     logits, masks = model(images)
-    loss = (logits * logits).mean() + sum((m * m).mean() for m in masks)
+    loss = dot(logits, logits) * (1.0 / logits.size)
+    for m in masks:
+        loss = loss + dot(m, m) * (1.0 / m.size)
     grads = T.backward(loss, leaves=list(model.named_parameters().values()))
     dead = [name for name, t in model.named_parameters().items()
             if not np.abs(grads[t]).max() > 0]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor
-from cftseg.errors import ConfigError
+from cftseg.errors import ConfigError, DivergedError
 import cftseg.optim as O
 import cftseg.tensor as T
+from scalar import dot
 
 
 class TestPolyLr:
@@ -97,8 +98,8 @@ class TestAdamWClass:
         target = np.arange(4.0)
 
         def loss_value():
-            diff = params["a"] + params["b"] - Tensor(target)
-            return (diff * diff).sum()
+            diff = params["a"] + params["b"] + Tensor(-target)
+            return dot(diff, diff)
 
         first = loss_value().item()
         for _ in range(50):
@@ -118,3 +119,84 @@ class TestAdamWClass:
         np.testing.assert_array_equal(fresh.m["a"], opt.m["a"])
         np.testing.assert_array_equal(fresh.v["b"], opt.v["b"])
         assert fresh.step_count == 1
+
+
+class TestFlatAdamW:
+    """Parameters and moments live in flat vectors; results match
+    `adamw_step` applied per parameter, bit for bit."""
+
+    @staticmethod
+    def model_params(seed=0):
+        from cftseg.model import ModelConfig, SegModel
+        config = ModelConfig(num_categories=3, embed_channels=8, num_heads=2,
+                             ffn_ratio=2, backbone_channels=(4, 6, 8, 10))
+        model = SegModel(config, rng=np.random.default_rng(seed),
+                         zero_residual_paths=False)
+        return model.named_parameters()
+
+    def test_every_parameter_and_moment_is_a_view_of_a_flat_buffer(self):
+        params = self.model_params()
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = O.AdamW(params)
+        flat = (opt._param, opt._m, opt._v)
+        assert all(buf.ndim == 1 and buf.flags.c_contiguous for buf in flat)
+        assert opt._param.size == sum(p.size for p in params.values())
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+            assert np.shares_memory(p.data, opt._param), name
+            assert np.shares_memory(opt.m[name], opt._m), name
+            assert np.shares_memory(opt.v[name], opt._v), name
+        opt._param[:] = 0.0
+        assert all(not p.data.any() for p in params.values())
+
+    def test_steps_match_per_parameter_adamw_step_bit_for_bit(self):
+        params = self.model_params(seed=1)
+        shadow = {k: p.data.copy() for k, p in params.items()}
+        sm = {k: np.zeros_like(a) for k, a in shadow.items()}
+        sv = {k: np.zeros_like(a) for k, a in shadow.items()}
+        opt = O.AdamW(params, weight_decay=0.01)
+        rng = np.random.default_rng(2)
+        for step in range(1, 6):
+            lr = 1e-3 / step
+            grads = {p: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
+                     for p in params.values()}
+            opt.step(grads, lr=lr)
+            for k, p in params.items():
+                O.adamw_step(shadow[k], grads[p], sm[k], sv[k], step,
+                             lr=lr, weight_decay=0.01)
+                np.testing.assert_array_equal(p.data, shadow[k], err_msg=k)
+                np.testing.assert_array_equal(opt.m[k], sm[k], err_msg=k)
+                np.testing.assert_array_equal(opt.v[k], sv[k], err_msg=k)
+
+    def test_state_array_keys_and_shapes_are_per_parameter(self):
+        params = self.model_params()
+        state = O.AdamW(params).state_arrays()
+        want = [f"adam_{which}/{name}" for name in params for which in "mv"]
+        assert list(state) == want
+        for name, p in params.items():
+            assert state[f"adam_m/{name}"].shape == p.shape
+            assert state[f"adam_v/{name}"].shape == p.shape
+
+    def test_non_finite_gradient_updates_nothing(self):
+        params = TestAdamWClass.driver(seed=4)
+        opt = O.AdamW(params)
+        before = {k: p.data.copy() for k, p in params.items()}
+        grads = {p: np.ones(4) for p in params.values()}
+        grads[params["b"]][2] = np.inf
+        with pytest.raises(DivergedError, match="non-finite gradient in b") as err:
+            opt.step(grads, lr=0.01)
+        assert err.value.diagnostics == {"reason": "non-finite gradient",
+                                         "parameter": "b"}
+        assert opt.step_count == 0
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+        assert not opt._m.any() and not opt._v.any()
+
+    def test_non_finite_parameter_after_the_update_is_named(self):
+        params = TestAdamWClass.driver(seed=5)
+        opt = O.AdamW(params)
+        params["b"].data[1] = np.nan
+        grads = {p: np.ones(4) for p in params.values()}
+        with pytest.raises(DivergedError, match="non-finite parameter in b") as err:
+            opt.step(grads, lr=0.01)
+        assert err.value.diagnostics["parameter"] == "b"

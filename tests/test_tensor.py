@@ -8,6 +8,7 @@ from cftseg.errors import ShapeError
 from cftseg import tensor as T
 import cftseg.functional as F
 from oracles import GELU_C, gelu_o
+from scalar import dot
 
 
 def test_tensor_wraps_float64_copy():
@@ -24,16 +25,10 @@ def test_data_length_matches_shape():
     assert t.size == 3 * 4 * 5 == t.data.size
 
 
-def test_sum_backward_is_ones():
-    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    grads = backward(x.sum())
-    np.testing.assert_array_equal(grads[x], np.ones((3, 4)))
-
-
 def test_elementwise_square_backward():
     # loss = sum(x * x) has gradient 2x
     x = Tensor(np.linspace(-2, 2, 10), requires_grad=True)
-    grads = backward((x * x).sum())
+    grads = backward(dot(x * x))
     np.testing.assert_allclose(grads[x], 2.0 * x.data, rtol=0, atol=1e-15)
 
 
@@ -44,7 +39,7 @@ def test_mul_skips_the_gradient_of_a_constant_operand():
         grads = y.op.backward(np.ones(6))
         assert grads[1 - x_slot] is None
         np.testing.assert_array_equal(grads[x_slot], c.data)
-    np.testing.assert_array_equal(backward((x * c).sum())[x], c.data)
+    np.testing.assert_array_equal(backward(dot(x * c))[x], c.data)
 
 
 def test_backward_rejects_non_scalar():
@@ -78,7 +73,7 @@ def test_concat_backward_splits_gradient():
     assert joined.shape == (2, 7, 3)
     np.testing.assert_array_equal(joined.data[:, 1:3], parts[1].data)
     w = rng.standard_normal((2, 7, 3))
-    grads = backward((joined * Tensor(w)).sum())
+    grads = backward(dot(joined, w))
     for part, cols in zip(parts, (slice(0, 1), slice(1, 3), slice(3, 7))):
         np.testing.assert_array_equal(grads[part], w[:, cols])
 
@@ -88,27 +83,19 @@ def test_transpose_reshape_backward():
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     w = rng.standard_normal((4, 3, 2))
     y = T.transpose(x, (2, 1, 0))
-    loss = (y * Tensor(w)).sum()
+    loss = dot(y, w)
     grads = backward(loss)
     np.testing.assert_array_equal(grads[x], w.transpose(2, 1, 0))
 
     z = T.reshape(x, (6, 4))
-    grads = backward(z.sum())
+    grads = backward(dot(z))
     np.testing.assert_array_equal(grads[x], np.ones((2, 3, 4)))
-
-
-def test_reduce_mean_axis_backward():
-    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-    m = x.mean(axis=(0, 2))
-    assert m.shape == (3,)
-    grads = backward(m.sum())
-    np.testing.assert_allclose(grads[x], np.full((2, 3, 4), 1.0 / 8.0))
 
 
 def test_gradient_accumulates_across_uses():
     # x feeds two branches; contributions must add
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    loss = (x * 3.0).sum() + (x * x).sum()
+    loss = dot(x * 3.0) + dot(x * x)
     grads = backward(loss)
     np.testing.assert_allclose(grads[x], 3.0 + 2.0 * x.data)
 
@@ -116,7 +103,7 @@ def test_gradient_accumulates_across_uses():
 def test_no_grad_suppresses_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        y = (x * 2.0).sum()
+        y = dot(x * 2.0)
     assert y.op is None and not y.requires_grad
 
 
@@ -124,7 +111,7 @@ def test_tape_is_topological_and_visits_once():
     x = Tensor(np.ones(4), requires_grad=True)
     y = x * 2.0
     z = y + y  # diamond: y consumed twice
-    loss = z.sum()
+    loss = dot(z)
     tape = T.trace(loss)
     seen = set()
     order = {}
@@ -142,7 +129,7 @@ def test_tape_is_topological_and_visits_once():
 def test_leaves_argument_returns_zero_for_untouched():
     x = Tensor(np.ones(2), requires_grad=True)
     unused = Tensor(np.ones(5), requires_grad=True)
-    grads = backward(x.sum(), leaves=[x, unused])
+    grads = backward(dot(x), leaves=[x, unused])
     np.testing.assert_array_equal(grads[unused], np.zeros(5))
 
 
@@ -154,7 +141,7 @@ def test_replay_same_graph_is_bit_identical():
     def run():
         x = Tensor(data, requires_grad=True)
         y = T.gelu(F.linear(x, Tensor(w.T)))
-        loss = (y * y).mean()
+        loss = dot(y, y) * (1.0 / y.size)
         return loss.item(), backward(loss)[x]
 
     l1, g1 = run()
@@ -169,39 +156,47 @@ class TestElementwiseGradients:
     def _check(self, fn, x_data, atol=1e-8):
         x = Tensor(x_data, requires_grad=True)
         w = np.random.default_rng(0).standard_normal(x_data.shape)
-        loss_fn = lambda t: (fn(t) * Tensor(w)).sum()
+        loss_fn = lambda t: dot(fn(t), w)
         grads = backward(loss_fn(x))
         from cftseg import finite_diff_grad
         numeric = finite_diff_grad(loss_fn, x)
         np.testing.assert_allclose(grads[x], numeric, atol=atol)
 
+    @staticmethod
+    def _numeric(fn, x, h=1e-5):
+        return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
     def test_sigmoid(self):
-        self._check(T.sigmoid, np.linspace(-4, 4, 9))
+        # the dice backward takes sigmoid'(x) as sigmoid(x) * sigmoid(-x)
+        x = np.linspace(-4, 4, 9)
+        p, q, _ = T.sigmoid_parts(x)
+        numeric = self._numeric(lambda t: T.sigmoid_parts(t)[0], x)
+        np.testing.assert_allclose(p * q, numeric, atol=1e-9)
 
     def test_logsigmoid(self):
-        self._check(T.logsigmoid, np.linspace(-4, 4, 9))
+        # the focal backward takes (log sigmoid)'(x) as sigmoid(-x)
+        x = np.linspace(-4, 4, 9)
+        numeric = self._numeric(
+            lambda t: np.minimum(t, 0.0) - np.log1p(T.sigmoid_parts(t)[2]), x)
+        np.testing.assert_allclose(T.sigmoid_parts(x)[1], numeric, atol=1e-9)
 
     def test_gelu(self):
         self._check(T.gelu, np.linspace(-3, 3, 13))
 
-    def test_div(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.standard_normal(6), requires_grad=True)
-        b = Tensor(rng.uniform(0.5, 2.0, 6), requires_grad=True)
-        grads = backward((a / b).sum())
-        np.testing.assert_allclose(grads[a], 1.0 / b.data, atol=1e-12)
-        np.testing.assert_allclose(grads[b], -a.data / b.data ** 2, atol=1e-12)
-
 
 def test_sigmoid_saturates_without_overflow():
-    x = Tensor(np.array([-800.0, 0.0, 800.0]))
-    y = T.sigmoid(x).data
-    assert np.all(np.isfinite(y))
-    np.testing.assert_allclose(y, [0.0, 0.5, 1.0], atol=1e-12)
-    ls = T.logsigmoid(x).data
-    assert np.all(np.isfinite(ls))
-    np.testing.assert_allclose(ls[2], 0.0, atol=1e-12)
-    np.testing.assert_allclose(ls[0], -800.0, atol=1e-12)
+    x = np.array([-800.0, 0.0, 800.0])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p, q, exp_neg = T.sigmoid_parts(x)
+        ls = np.minimum(x, 0.0) - np.log1p(exp_neg)
+    np.testing.assert_array_equal(p, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(q, [1.0, 0.5, 0.0])
+    np.testing.assert_allclose(ls, [-800.0, -np.log(2.0), 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_every_one_element_shape(shape):
+    assert Tensor(np.full(shape, 2.5)).item() == 2.5
 
 
 def test_gelu_matches_the_oracle_and_its_closed_form_derivative():
@@ -214,7 +209,7 @@ def test_gelu_matches_the_oracle_and_its_closed_form_derivative():
     # 1 + tanh cancels in the negative tail, so both forms are only exact
     # to an ulp of the function's scale there, not of its tiny value
     np.testing.assert_allclose(y.data, gelu_o(x), rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(backward((y * Tensor(g)).sum())[xt], g * slope,
+    np.testing.assert_allclose(backward(dot(y, g))[xt], g * slope,
                                rtol=1e-14, atol=1e-14)
 
 
@@ -222,6 +217,6 @@ def test_gelu_saturates_exactly():
     x = Tensor(np.array([1e3, -1e3]), requires_grad=True)
     y = T.gelu(x)
     assert y.data[0] == 1e3 and y.data[1] == 0.0
-    grad = backward(y.sum())[x]
+    grad = backward(dot(y))[x]
     assert np.all(np.isfinite(grad))
     np.testing.assert_array_equal(grad, [1.0, 0.0])

@@ -1,6 +1,7 @@
 """Training loop behavior on miniature runs: logs, determinism, resume."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -128,6 +129,28 @@ def test_non_finite_loss_aborts_with_diagnostics(tmp_path):
         TR.train(cfg, tmp_path, dataset=poisoned)
     assert err.value.diagnostics["iteration"] == 0
     assert (tmp_path / "diverged.json").exists()
+
+
+def test_non_finite_gradient_names_the_first_parameter(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    names = list(TR.build_model(cfg).named_parameters())
+    real_backward = TR.backward
+
+    def poisoned(loss, leaves):
+        grads = real_backward(loss, leaves=leaves)
+        for k in (9, 4):  # both poisoned; the earlier one is reported
+            grads[leaves[k]].reshape(-1)[-1] = np.nan
+        return grads
+
+    monkeypatch.setattr(TR, "backward", poisoned)
+    with pytest.raises(DivergedError, match=names[4]) as err:
+        TR.train(cfg, tmp_path)
+    record = json.loads((tmp_path / "diverged.json").read_text())
+    assert record == err.value.diagnostics
+    assert record["reason"] == "non-finite gradient"
+    assert record["parameter"] == names[4]
+    assert record["iteration"] == 0 and np.isfinite(record["total"])
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("num_categories", [2, 4])
