@@ -1,18 +1,19 @@
-"""Versioned binary checkpoints: params, optimizer moments, config echo.
+"""Versioned checkpoints: params, optimizer moments, config echo.
 
-Layout, all little-endian:
-  magic b"CFTK" | u32 version | u64 iteration | u32 len + config utf-8
-  then per array: u32 name_len | name utf-8 | u32 ndim | u64 dims... | f64 data
-Writes go to a temp file in the same directory and are renamed into place.
+One uncompressed `np.savez` archive of the `_MEMBERS` (scalar type, rank): the
+arrays' names, ranks, shapes back to back and values concatenated in that order.
+zipfile checks each member's CRC-32; members carry a fixed date, so equal
+checkpoints are equal bytes. Writes go to a temp file and are renamed into place.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -20,8 +21,12 @@ import numpy as np
 
 from .errors import CheckpointError
 
-MAGIC = b"CFTK"
-VERSION = 1
+VERSION = 2
+FORMAT = "cftseg checkpoint v{}"
+_MEMBERS = {"format": (np.str_, 0), "iteration": (np.int64, 0),
+            "config": (np.str_, 0), "names": (np.str_, 1),
+            "ndims": (np.int64, 1), "dims": (np.int64, 1),
+            "data": (np.float64, 1)}
 
 
 @dataclass
@@ -32,45 +37,21 @@ class Checkpoint:
     version: int = VERSION
 
 
-def _read_exact(fh, n: int, end: int) -> bytes:
-    """Read n bytes of a file whose size is `end`, checking the size first
-    so a corrupt length never asks for more memory than the file holds."""
-    left = end - fh.tell()
-    buf = fh.read(n) if n <= left else b""
-    if len(buf) != n:
-        raise CheckpointError(
-            f"truncated checkpoint: wanted {n} bytes, {left} left")
-    return buf
-
-
-def _decode(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise CheckpointError(f"{what} is not valid UTF-8: {err}") from None
-
-
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    arrays = [np.asarray(a, dtype=np.float64) for a in checkpoint.arrays.values()]
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", checkpoint.version))
-            fh.write(struct.pack("<Q", checkpoint.iteration))
-            config_bytes = checkpoint.config_text.encode("utf-8")
-            fh.write(struct.pack("<I", len(config_bytes)))
-            fh.write(config_bytes)
-            for name, arr in checkpoint.arrays.items():
-                name_bytes = name.encode("utf-8")
-                # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-                arr = np.asarray(arr, dtype="<f8")
-                fh.write(struct.pack("<I", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(arr.tobytes())
+            np.savez(
+                fh, format=np.array(FORMAT.format(checkpoint.version)),
+                iteration=np.array(checkpoint.iteration, dtype=np.int64),
+                config=np.array(checkpoint.config_text),
+                names=np.array(list(checkpoint.arrays), dtype=np.str_),
+                ndims=np.array([a.ndim for a in arrays], dtype=np.int64),
+                dims=np.array([d for a in arrays for d in a.shape], dtype=np.int64),
+                data=np.concatenate([np.empty(0), *(a.ravel() for a in arrays)]))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -79,37 +60,55 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     return path
 
 
+def _check_header(archive: zipfile.ZipFile, info: zipfile.ZipInfo, size: int) -> None:
+    """Before np.load allocates what a member's .npy header claims, refuse it
+    unless stored plainly (bit 0 flags encryption) and claiming its own size."""
+    if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1
+            or info.file_size > size):
+        raise CheckpointError(f"{info.filename}: not a plain stored member")
+    with archive.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+        claimed = member.tell() + math.prod(shape) * dtype.itemsize
+    if version != (1, 0) or claimed != info.file_size:
+        raise CheckpointError(f"{info.filename}: .npy {version} header claims "
+                              f"{claimed} bytes, the member holds {info.file_size}")
+
+
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    with path.open("rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        magic = _read_exact(fh, 4, end)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, end))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        (iteration,) = struct.unpack("<Q", _read_exact(fh, 8, end))
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
-        config_text = _decode(_read_exact(fh, config_len, end), "config text")
-        arrays: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _decode(_read_exact(fh, name_len, end), "array name")
-            if name in arrays:
-                raise CheckpointError(f"duplicate array {name!r}")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, end))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, end))
-            # math.prod: np.prod would wrap a corrupt shape around int64
-            payload = _read_exact(fh, 8 * math.prod(shape), end)
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    return Checkpoint(iteration=iteration, config_text=config_text,
-                      arrays=arrays, version=version)
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != b"PK\x03\x04":
+            old = " (v1 CFTK files are not read)" if magic == b"CFTK" else ""
+            raise CheckpointError(f"{path} is not a .npz checkpoint{old}")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                if sorted(npz.files) != sorted(_MEMBERS):
+                    raise CheckpointError(f"unexpected members {npz.files}")
+                for info in npz.zip.infolist():
+                    _check_header(npz.zip, info, os.fstat(fh.fileno()).st_size)
+                m = {name: npz[name] for name in _MEMBERS}
+        except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError,
+                NotImplementedError) as err:
+            raise CheckpointError(f"corrupt checkpoint {path}: {err}") from err
+    if any(m[name].dtype.type is not kind or m[name].ndim != ndim
+           for name, (kind, ndim) in _MEMBERS.items()):
+        raise CheckpointError("a member has the wrong dtype or rank")
+    if m["format"] != FORMAT.format(VERSION):
+        raise CheckpointError(f"unsupported format {m['format']}")
+    names, ndims, dims = m["names"].tolist(), m["ndims"].tolist(), m["dims"].tolist()
+    shapes = [tuple(dims[end - n:end]) for n, end in zip(ndims, accumulate(ndims))]
+    # math.prod: np.prod would wrap a corrupt shape around int64
+    sizes = [math.prod(shape) for shape in shapes]
+    if (len(set(names)) != len(names) or len(ndims) != len(names)
+            or min(ndims + dims, default=0) < 0 or sum(ndims) != len(dims)
+            or m["iteration"] < 0 or sum(sizes) != m["data"].size):
+        raise CheckpointError("inconsistent array index")
+    ends, data = accumulate(sizes), m["data"]
+    return Checkpoint(iteration=int(m["iteration"]), config_text=str(m["config"]),
+                      arrays={name: data[end - size:end].reshape(shape) for
+                              name, shape, size, end in zip(names, shapes, sizes, ends)})
 
 
 def _restore_arrays(arrays: Mapping[str, np.ndarray], prefix: str,

@@ -5,6 +5,7 @@ Precedence is defaults < config file < explicit overrides (CLI flags).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -41,8 +42,10 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.baselr <= 0:
-            raise ConfigError("baselr must be positive")
+        if not (math.isfinite(self.baselr) and self.baselr > 0):
+            raise ConfigError("baselr must be positive and finite")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ConfigError("power must be non-negative and finite")
         if self.total_iters < 1:
             raise ConfigError("total_iters must be at least 1")
         if self.batch_size < 1:
@@ -57,8 +60,8 @@ class TrainConfig:
                 f"mask_loss_mode must be one of {', '.join(MASK_LOSS_MODES)}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError("flip_prob must lie in [0, 1]")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError("weight_decay must be non-negative and finite")
         if self.n_images < 1:
             raise ConfigError("n_images must be at least 1")
         if self.checkpoint_every < 0 or self.log_every < 1:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError
-from .losses import check_labels
+from .losses import check_category_count, check_labels
 
 BACKGROUND_COLOR = (0.35, 0.35, 0.35)
 TEXTURE_AMP = 0.05
@@ -78,8 +78,7 @@ def _shape_mask(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
 def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
                           num_categories: int = 4) -> Dataset:
     """Compose num_categories-1 shapes per image over a textured background."""
-    if num_categories < 2:
-        raise ConfigError("need at least two categories")
+    check_category_count(num_categories, ConfigError)
     if n_images < 1:
         raise ConfigError("need at least one image")
     if size < 16:
@@ -127,9 +126,10 @@ def load_dataset(in_dir) -> Dataset:
     images = np.load(src / "images.npy")
     labels = np.load(src / "labels.npy")
     num_categories = meta.get("num_categories") if isinstance(meta, dict) else None
-    if type(num_categories) is not int or num_categories < 2:
-        raise DatasetError(f"meta.json: num_categories must be an integer >= 2, "
+    if type(num_categories) is not int:
+        raise DatasetError(f"meta.json: num_categories must be an integer, "
                            f"got {num_categories!r}")
+    check_category_count(num_categories, DatasetError)
     if (images.ndim != 4 or images.shape[0] < 1 or images.shape[1] != 3
             or not np.issubdtype(images.dtype, np.floating)):
         raise DatasetError(f"images.npy must hold floats shaped (N, 3, H, W), "

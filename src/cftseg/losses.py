@@ -63,6 +63,14 @@ def check_labels(labels: np.ndarray, num_categories: int) -> np.ndarray:
     return labels
 
 
+def check_category_count(num_categories: int, error: type[ValueError]) -> None:
+    """Raise `error` unless 2 <= num_categories <= 255; with more, category
+    255 would be the ignore label and drop out of every loss and metric."""
+    if not 2 <= num_categories <= IGNORE_INDEX:
+        raise error(f"num_categories must lie in [2, {IGNORE_INDEX}], "
+                    f"got {num_categories}")
+
+
 def one_hot(labels: np.ndarray, num_categories: int) -> np.ndarray:
     """(B,H,W) indices -> (B,L,H,W) float one-hot; ignored pixels all-zero."""
     labels = check_labels(labels, num_categories)
@@ -127,8 +135,9 @@ def downsample_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def build_mask_targets(labels: np.ndarray, num_categories: int,
                        out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-downsampled one-hot targets (B,L,out_h,out_w) and the
-    (B,out_h,out_w) mask of kept, non-ignored pixels."""
-    small = downsample_labels(check_labels(labels, num_categories), out_h, out_w)
+    (B,out_h,out_w) mask of kept, non-ignored pixels; `one_hot` rejects
+    any sampled label outside [0, num_categories) other than 255."""
+    small = downsample_labels(labels, out_h, out_w)
     return one_hot(small, num_categories), small != IGNORE_INDEX
 
 

@@ -20,6 +20,7 @@ from .blocks import (CftBlockParams, DepthwiseParams, LinearParams, VARIANTS,
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
+from .losses import check_category_count
 from .tensor import Tensor, concat, gelu
 
 NUM_STAGES = 4
@@ -36,8 +37,7 @@ class ModelConfig:
     backbone_channels: tuple[int, ...] = (32, 64, 128, 256)
 
     def __post_init__(self):
-        if self.num_categories < 2:
-            raise ConfigError("need at least two categories")
+        check_category_count(self.num_categories, ConfigError)
         for name in ("embed_channels", "num_heads", "ffn_ratio"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

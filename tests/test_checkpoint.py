@@ -1,6 +1,10 @@
-"""Checkpoint binary format: round trip, corruption, atomicity."""
+"""Checkpoint .npz format: round trip, corruption, atomicity."""
 
+import io
 import struct
+import tracemalloc
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,25 +25,35 @@ def sample_checkpoint(seed=0):
     return C.Checkpoint(iteration=42, config_text="seed = 1\n", arrays=arrays)
 
 
+def same_contents(back, ck):
+    return (back.iteration == ck.iteration and back.config_text == ck.config_text
+            and list(back.arrays) == list(ck.arrays)
+            and all(back.arrays[k].shape == np.shape(v)
+                    and back.arrays[k].tobytes() == np.asarray(v).tobytes()
+                    for k, v in ck.arrays.items()))
+
+
 def test_round_trip_is_bit_identical(tmp_path):
     ck = sample_checkpoint()
     path = tmp_path / "model.ckpt"
     C.save_checkpoint(path, ck)
     back = C.load_checkpoint(path)
-    assert back.iteration == 42
     assert back.version == C.VERSION
-    assert back.config_text == "seed = 1\n"
-    assert list(back.arrays) == list(ck.arrays)
-    for name, arr in ck.arrays.items():
-        assert back.arrays[name].tobytes() == np.asarray(arr).tobytes()
-        assert back.arrays[name].shape == np.asarray(arr).shape
+    assert same_contents(back, ck)
+
+
+def test_empty_checkpoint_round_trips(tmp_path):
+    ck = C.Checkpoint(iteration=0, config_text="")
+    assert same_contents(C.load_checkpoint(C.save_checkpoint(tmp_path / "e", ck)), ck)
 
 
 def test_file_starts_with_magic_and_version(tmp_path):
     path = C.save_checkpoint(tmp_path / "m.ckpt", sample_checkpoint())
-    head = path.read_bytes()[:8]
-    assert head[:4] == b"CFTK"
-    assert struct.unpack("<I", head[4:])[0] == C.VERSION
+    assert path.read_bytes()[:4] == b"PK\x03\x04"
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["format", "iteration", "config", "names",
+                             "ndims", "dims", "data"]
+        assert str(npz["format"]) == f"cftseg checkpoint v{C.VERSION}"
 
 
 def test_corrupted_magic_rejected(tmp_path):
@@ -47,16 +61,29 @@ def test_corrupted_magic_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"JUNK"
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(CheckpointError, match="not a .npz"):
         C.load_checkpoint(path)
 
 
 def test_unknown_version_rejected(tmp_path):
-    path = C.save_checkpoint(tmp_path / "m.ckpt", sample_checkpoint())
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 99)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
+    ck = sample_checkpoint()
+    ck.version = 99
+    path = C.save_checkpoint(tmp_path / "m.ckpt", ck)
+    with pytest.raises(CheckpointError, match="unsupported format"):
+        C.load_checkpoint(path)
+
+
+def test_v1_file_rejected(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"CFTK" + struct.pack("<IQI", 1, 0, 0))
+    with pytest.raises(CheckpointError, match="v1 CFTK"):
+        C.load_checkpoint(path)
+
+
+def test_plain_npy_rejected(tmp_path):
+    path = tmp_path / "plain.npy"
+    np.save(path, np.ones(3))
+    with pytest.raises(CheckpointError, match="not a .npz"):
         C.load_checkpoint(path)
 
 
@@ -67,6 +94,38 @@ def test_truncation_rejected(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
             C.load_checkpoint(path)
+
+
+def test_flipped_payload_byte_rejected(tmp_path):
+    ck = sample_checkpoint()
+    path = C.save_checkpoint(tmp_path / "m.ckpt", ck)
+    blob = bytearray(path.read_bytes())
+    at = blob.find(ck.arrays["param/w"].tobytes())
+    assert at > 0
+    blob[at + 3] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="CRC"):
+        C.load_checkpoint(path)
+
+
+def test_every_truncation_and_byte_flip_loads_or_is_refused(tmp_path):
+    ck = sample_checkpoint()
+    path = C.save_checkpoint(tmp_path / "m.ckpt", ck)
+    blob = path.read_bytes()
+    damaged = [blob[:cut] for cut in range(len(blob))]
+    damaged += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+                for i in range(len(blob))]
+    loaded = 0
+    for bad in damaged:
+        path.write_bytes(bad)
+        try:
+            back = C.load_checkpoint(path)
+        except CheckpointError:
+            continue
+        assert same_contents(back, ck)
+        loaded += 1
+    # only zip fields that carry no content (dates, attributes) may flip
+    assert 0 < loaded < len(blob) // 2
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -97,27 +156,82 @@ def test_model_state_prefixes_names():
     np.testing.assert_array_equal(state["param/layer.w"], 1.0)
 
 
-def write_raw(path, records, config=b""):
-    """A version-1 file holding `records` of (name bytes, dims, payload)."""
-    blob = C.MAGIC + struct.pack("<IQI", C.VERSION, 0, len(config)) + config
-    for name, dims, payload in records:
-        blob += struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
-        blob += struct.pack(f"<{len(dims)}Q", *dims) + payload
-    path.write_bytes(blob)
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def write_members(path, members):
+    """A zip of (member name, .npy bytes) pairs, in order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate member names
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, raw in members:
+                archive.writestr(name + ".npy", raw)
     return path
 
 
-ONE = struct.pack("<d", 1.0)
+def forged(**changes):
+    """Members of a valid one-array checkpoint, with `changes` applied;
+    a value of None drops the member."""
+    members = {"format": np.array(f"cftseg checkpoint v{C.VERSION}"),
+               "iteration": np.array(3, dtype=np.int64),
+               "config": np.array("seed = 1\n"),
+               "names": np.array(["param/w"]),
+               "ndims": np.array([1], dtype=np.int64),
+               "dims": np.array([2], dtype=np.int64),
+               "data": np.ones(2)}
+    members.update(changes)
+    return [(k, npy_bytes(v)) for k, v in members.items() if v is not None]
 
 
-@pytest.mark.parametrize("records, config, match", [
-    ([(b"param/w", (1,), ONE), (b"param/w", (1,), ONE)], b"", "duplicate"),
-    ([(b"param/\xff", (1,), ONE)], b"", "UTF-8"),
-    ([(b"param/w", (1,), ONE)], b"seed = \xff", "UTF-8"),
-    ([(b"param/w", (2 ** 62,), ONE)], b"", "truncated"),
-    ([(b"param/w", (2 ** 32, 2 ** 32), b"")], b"", "truncated"),
-], ids=["duplicate", "name_utf8", "config_utf8", "dim_2e62", "dims_wrap_int64"])
-def test_corrupt_records_rejected(tmp_path, records, config, match):
-    path = write_raw(tmp_path / "bad.ckpt", records, config)
+def test_forged_members_load_when_left_alone(tmp_path):
+    back = C.load_checkpoint(write_members(tmp_path / "ok.ckpt", forged()))
+    assert back.iteration == 3 and back.config_text == "seed = 1\n"
+    np.testing.assert_array_equal(back.arrays["param/w"], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("members, match", [
+    (forged(names=np.array(["param/w", "param/w"]), ndims=np.array([1, 1]),
+            dims=np.array([1, 1])), "inconsistent"),
+    (forged(names=np.array([b"param/\xff"])), "wrong dtype"),
+    (forged(config=np.array(b"seed = \xff")), "wrong dtype"),
+    (forged(dims=np.array([2 ** 62])), "inconsistent"),
+    (forged(ndims=np.array([2]), dims=np.array([2 ** 32, 2 ** 32]),
+            data=np.ones(0)), "inconsistent"),
+    (forged() + [("data", npy_bytes(np.ones(2)))], "unexpected members"),
+    (forged(dims=np.array([-2])), "inconsistent"),
+    (forged(ndims=np.array([1, 0])), "inconsistent"),
+    (forged(ndims=np.array([2])), "inconsistent"),
+    (forged(iteration=np.array(-1)), "inconsistent"),
+    (forged(data=np.ones(2, dtype=np.float32)), "wrong dtype"),
+    (forged(iteration=np.array([3])), "wrong dtype"),
+    (forged(format=np.array("cftseg checkpoint v1")), "unsupported format"),
+    (forged(config=None), "unexpected members"),
+    (forged(extra=np.zeros(1)), "unexpected members"),
+], ids=["duplicate", "name_utf8", "config_utf8", "dim_2e62", "dims_wrap_int64",
+        "duplicate_member", "negative_dim", "ndims_longer_than_names",
+        "ndims_past_dims", "negative_iteration", "float32_data", "iteration_1d",
+        "old_format_tag", "missing_member", "extra_member"])
+def test_corrupt_records_rejected(tmp_path, members, match):
+    path = write_members(tmp_path / "bad.ckpt", members)
     with pytest.raises(CheckpointError, match=match):
         C.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(2 ** 40,), (0,), (1,)])
+def test_header_must_claim_the_stored_bytes(tmp_path, shape):
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    members = forged()[:-1] + [("data", head.getvalue() + np.ones(2).tobytes())]
+    path = write_members(tmp_path / "forged.ckpt", members)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="header claims"):
+            C.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -1,14 +1,12 @@
 """CLI behavior: verbs, config precedence, error reporting, exit codes."""
 
 import json
-import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import cftseg.checkpoint as C
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
 from cftseg.data import load_dataset
@@ -224,9 +222,9 @@ def test_missing_checkpoint_is_json_error(tmp_path, capsys):
 
 
 def test_corrupt_checkpoint_is_json_error(tmp_path, capsys):
-    blob = C.MAGIC + struct.pack("<IQI", C.VERSION, 0, 0)
-    blob += struct.pack("<I", 1) + b"w" + struct.pack("<IQ", 1, 2 ** 62)
-    (tmp_path / "bad.ckpt").write_bytes(blob)
+    path = save_checkpoint(tmp_path / "bad.ckpt", Checkpoint(
+        iteration=0, config_text="", arrays={"param/w": np.ones(4)}))
+    path.write_bytes(path.read_bytes()[:-30])
     assert main(["eval", str(tmp_path / "bad.ckpt")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "CheckpointError"

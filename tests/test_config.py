@@ -1,9 +1,11 @@
 """Config file parsing, precedence, validation, serialization round trip."""
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import cftseg.config as CF
 from cftseg.errors import ConfigError
+from cftseg.losses import MASK_LOSS_MODES
 
 
 def test_defaults_are_valid_and_desk_sized():
@@ -77,6 +79,13 @@ def test_bad_value_rejected(tmp_path):
     {"flip_prob": "1.5"},
     {"batch_size": "0"},
     {"weight_decay": "-0.1"},
+    {"baselr": "nan"},
+    {"baselr": "inf"},
+    {"weight_decay": "nan"},
+    {"weight_decay": "inf"},
+    {"power": "nan"},
+    {"power": "inf"},
+    {"power": "-1"},
 ])
 def test_invariant_violations_raise(overrides):
     with pytest.raises(ConfigError):
@@ -89,6 +98,42 @@ def test_serialization_round_trip():
     text = CF.config_to_text(cfg)
     back = CF.load_config(None, overrides=CF.parse_config_text(text))
     assert back == cfg
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def train_configs(draw):
+    heads = draw(st.integers(1, 8))
+    return CF.TrainConfig(
+        baselr=draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
+        power=draw(st.floats(min_value=0.0, **finite)),
+        total_iters=draw(st.integers(1, 10 ** 6)),
+        batch_size=draw(st.integers(1, 64)),
+        weight_decay=draw(st.floats(min_value=0.0, **finite)),
+        seed=draw(st.integers(0, 2 ** 63 - 1)),
+        crop_size=32 * draw(st.integers(1, 16)),
+        variant=draw(st.sampled_from(CF.VARIANT_CHOICES)),
+        mask_loss_mode=draw(st.sampled_from(MASK_LOSS_MODES)),
+        num_categories=draw(st.integers(2, 255)),
+        embed_channels=heads * draw(st.integers(1, 16)),
+        num_heads=heads,
+        ffn_ratio=draw(st.integers(1, 8)),
+        backbone_channels=tuple(draw(st.lists(st.integers(1, 512),
+                                              min_size=4, max_size=4))),
+        n_images=draw(st.integers(1, 1000)),
+        flip_prob=draw(st.floats(0.0, 1.0)),
+        checkpoint_every=draw(st.integers(0, 1000)),
+        log_every=draw(st.integers(1, 1000)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(train_configs())
+def test_text_round_trip_reproduces_any_valid_config(cfg):
+    text = CF.config_to_text(cfg)
+    assert CF.load_config(None, overrides=CF.parse_config_text(text)) == cfg
+    cfg.model_config()  # the drawn dimensions also build a model config
 
 
 def test_model_config_projection():

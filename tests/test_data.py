@@ -55,6 +55,11 @@ def test_config_validation():
         gen_synthetic_dataset(seed=0, size=8)
 
 
+def test_category_count_stays_clear_of_the_ignore_label():
+    with pytest.raises(ConfigError, match="255"):
+        gen_synthetic_dataset(seed=0, n_images=1, size=16, num_categories=256)
+
+
 def test_category_appearance_is_seed_independent():
     # the class cue must transfer across datasets drawn with different seeds
     a = gen_synthetic_dataset(seed=0, n_images=4, size=64)
@@ -99,9 +104,11 @@ def test_save_load_round_trip(tmp_path):
     lambda imgs, labels, meta: (imgs, np.where(labels == 2, 3, labels), meta),
     lambda imgs, labels, meta: (imgs, np.where(labels == 2, -1, labels), meta),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 2}),
+    lambda imgs, labels, meta: (imgs, labels, {"num_categories": 256}),
 ], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
         "3d-images", "no-category-count", "one-category", "float-count", "meta-list",
-        "label-past-count", "negative-label", "count-below-labels"])
+        "label-past-count", "negative-label", "count-below-labels",
+        "count-reaches-ignore-label"])
 def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
     ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
     images, labels, meta = damage(ds.images, ds.labels, {"num_categories": 3})

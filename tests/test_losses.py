@@ -133,6 +133,12 @@ class TestMaskTargets:
                 assert got[0, picked[i, j], i, j] == 1.0
         assert got.sum() == 4
 
+    def test_out_of_range_label_that_survives_downsampling_raises(self):
+        labels = np.zeros((1, 4, 4), dtype=np.int64)
+        labels[0, 1, 1] = 3  # a sampled cell center
+        with pytest.raises(ValueError, match="labels must lie"):
+            L.build_mask_targets(labels, 3, 2, 2)
+
     def test_nearest_indices_identity(self):
         labels = np.random.default_rng(0).integers(0, 4, size=(2, 5, 7))
         np.testing.assert_array_equal(L.downsample_labels(labels, 5, 7), labels)

@@ -179,6 +179,13 @@ def test_config_validation():
         M.SegModel(small_config(), variant="bogus")
 
 
+def test_category_count_stays_clear_of_the_ignore_label():
+    # category 255 would be dropped from every loss term and the metrics
+    assert M.ModelConfig(num_categories=255).num_categories == 255
+    with pytest.raises(ConfigError, match="255"):
+        M.ModelConfig(num_categories=256)
+
+
 def test_gradients_flow_to_every_parameter_after_warmup():
     # one optimizer step on w_o/projection zeros would unblock them; emulate
     # by randomizing the residual paths and checking every grad is nonzero.
