@@ -38,6 +38,10 @@ class Checkpoint:
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
+    """Raises ValueError, before writing anything, for text holding NUL,
+    which numpy str arrays would drop from the end."""
+    if any("\x00" in text for text in (checkpoint.config_text, *checkpoint.arrays)):
+        raise ValueError("checkpoint config and array names must not contain NUL")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = [np.asarray(a, dtype=np.float64) for a in checkpoint.arrays.values()]

@@ -104,10 +104,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         dataset = data_mod.load_dataset(args.data)
     else:
         dataset = train_mod.default_dataset(config)
-    report = train_mod.evaluate(model, dataset)
-    agreement = train_mod.mask_agreement(model, dataset)
-    report["mask_agreement"] = agreement
-    _emit(report, args.out)
+    _emit(train_mod.evaluate(model, dataset), args.out)
     return 0
 
 

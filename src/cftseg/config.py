@@ -66,6 +66,7 @@ class TrainConfig:
             raise ConfigError("n_images must be at least 1")
         if self.checkpoint_every < 0 or self.log_every < 1:
             raise ConfigError("bad checkpoint_every/log_every")
+        self.model_config()  # ModelConfig owns the architecture rules
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(num_categories=self.num_categories,

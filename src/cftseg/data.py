@@ -119,8 +119,8 @@ def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
 
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`; raises DatasetError
-    unless its arrays and metadata fit together and every label is a
-    category of meta.json's count or the ignore label 255."""
+    unless its arrays and metadata fit together, every pixel is finite and
+    every label is a category of meta.json's count or the ignore label 255."""
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
     images = np.load(src / "images.npy")
@@ -134,6 +134,8 @@ def load_dataset(in_dir) -> Dataset:
             or not np.issubdtype(images.dtype, np.floating)):
         raise DatasetError(f"images.npy must hold floats shaped (N, 3, H, W), "
                            f"got {images.dtype} {images.shape}")
+    if not np.isfinite(images).all():
+        raise DatasetError("images.npy holds non-finite pixels")
     want = (images.shape[0], *images.shape[2:])
     if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
         raise DatasetError(f"labels.npy must hold integers shaped {want}, "

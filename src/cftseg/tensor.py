@@ -124,42 +124,25 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _as_scalar(x) -> float | None:
-    if isinstance(x, (int, float, np.integer, np.floating)):
-        return float(x)
-    return None
-
-
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ "
-                         "(only same-shape or scalar operands are supported)")
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
 
-def add(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return Tensor._result(a.data + s, (a,), "add_const", lambda g: (g,))
-    _check_same_shape("add", a, b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of two tensors of one shape."""
+    if not isinstance(b, Tensor):
+        raise TypeError(f"add takes two tensors, got {type(b).__name__}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     return Tensor._result(a.data + b.data, (a, b), "add", lambda g: (g, g))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return Tensor._result(a.data * s, (a,), "scale", lambda g: (g * s,))
-    _check_same_shape("mul", a, b)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (g * bd if a.requires_grad else None,
-                g * ad if b.requires_grad else None)
-
-    return Tensor._result(ad * bd, (a, b), "mul", bwd)
+def mul(a: Tensor, s) -> Tensor:
+    """`a` scaled by a real scalar."""
+    if not isinstance(s, (int, float, np.integer, np.floating)):
+        raise TypeError(f"mul scales by a real scalar, got {type(s).__name__}")
+    s = float(s)
+    return Tensor._result(a.data * s, (a,), "scale", lambda g: (g * s,))
 
 
 def gelu(a: Tensor) -> Tensor:

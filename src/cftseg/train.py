@@ -169,17 +169,17 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
                        log_path=log_path, rows=rows)
 
 
-def _forward_batches(model: SegModel, dataset: Dataset, batch_size: int = 8):
-    for lo in range(0, len(dataset), batch_size):
-        chunk = slice(lo, lo + batch_size)
-        with no_grad():
-            logits, masks = model(Tensor(dataset.images[chunk]))
-        yield logits, masks, dataset.labels[chunk]
-
-
 def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
-    """Single-scale inference metrics over a dataset; ConfigError when the
-    dataset has another category count than the model."""
+    """Single-scale inference metrics over a dataset, from one no_grad
+    forward per batch of 8 images.
+
+    The logits give mIoU, pixel accuracy and per-category IoU. The stage
+    masks give `mask_agreement`: the fraction of mask argmax pixels, all
+    stages pooled, that match the nearest-downsampled labels, over pixels
+    not labelled 255; None when no mask pixel is scored, as for variants
+    without masks. Raises ValueError when no pixel is scored at all and
+    ConfigError when the dataset has another category count than the model.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     model = model_or_checkpoint
@@ -189,29 +189,24 @@ def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
         model, _ = model_from_checkpoint(model)
     _check_category_count(dataset, model.config.num_categories)
     cm = ConfusionMatrix(dataset.num_categories)
-    for logits, _, labels in _forward_batches(model, dataset):
-        cm.update(np.argmax(logits.data, axis=1), labels)
-    per_category, mean = miou(cm)
-    return {"miou": mean,
-            "pixel_accuracy": pixel_accuracy(cm),
-            "per_category_iou": [None if np.isnan(v) else float(v)
-                                 for v in per_category]}
-
-
-def mask_agreement(model: SegModel, dataset: Dataset) -> float | None:
-    """Fraction of stage-mask argmax pixels matching downsampled labels,
-    over pixels not labelled 255; None when no pixel of any mask is scored."""
-    if len(dataset) == 0:
-        raise ValueError("cannot score masks on an empty dataset")
-    matched = 0
-    scored = 0
-    for _, masks, labels in _forward_batches(model, dataset):
+    matched = scored = 0
+    for lo in range(0, len(dataset), 8):
+        chunk = slice(lo, lo + 8)
+        labels = dataset.labels[chunk]
+        with no_grad():
+            logits, masks = model(Tensor(dataset.images[chunk]))
         for mask in masks:
             target = downsample_labels(labels, *mask.shape[2:])
             kept = target != IGNORE_INDEX
             matched += int((np.argmax(mask.data, axis=1) == target)[kept].sum())
             scored += int(kept.sum())
-    return matched / scored if scored else None
+        cm.update(np.argmax(logits.data, axis=1), labels)
+    per_category, mean = miou(cm)
+    return {"miou": mean,
+            "pixel_accuracy": pixel_accuracy(cm),
+            "per_category_iou": [None if np.isnan(v) else float(v)
+                                 for v in per_category],
+            "mask_agreement": matched / scored if scored else None}
 
 
 ABLATION_HEADER = ("variant", "mask_mode", "params", "flops", "miou",
@@ -249,7 +244,7 @@ def run_ablation(config: TrainConfig, out_dir,
                 "flops": flops_report.total_flops,
                 "miou": report["miou"],
                 "pixel_acc": report["pixel_accuracy"],
-                "mask_agreement": mask_agreement(model, heldout),
+                "mask_agreement": evaluate(model, heldout)["mask_agreement"],
             })
     with (out / "ablation.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -134,6 +134,18 @@ def test_no_temp_files_left_behind(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+@pytest.mark.parametrize("config_text, name", [
+    ("a\x00", "param/w"), ("a", "param/w\x00"), ("a\x00b", "param/w"),
+    ("a", "param/\x00w")], ids=["config-end", "name-end", "config-inside",
+                               "name-inside"])
+def test_nul_in_text_is_refused_before_writing(tmp_path, config_text, name):
+    ck = C.Checkpoint(iteration=1, config_text=config_text,
+                      arrays={name: np.ones(2)})
+    with pytest.raises(ValueError, match="NUL"):
+        C.save_checkpoint(tmp_path / "run" / "m.ckpt", ck)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overwrite_replaces_content(tmp_path):
     path = tmp_path / "m.ckpt"
     C.save_checkpoint(path, sample_checkpoint(seed=0))

@@ -10,6 +10,7 @@ import pytest
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
 from cftseg.data import load_dataset
+from cftseg.model import SegModel
 
 TINY = """\
 # desk-size run
@@ -148,6 +149,16 @@ def test_zero_heads_is_json_error(verb, tiny_cfg, tmp_path, capsys):
     assert "num_heads" in payload["message"]
 
 
+@pytest.mark.parametrize("line", ["num_heads = 3", "backbone_channels = 4,6,8",
+                                  "embed_channels = 0"])
+def test_bad_model_field_is_refused_before_any_output(line, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY + line + "\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "run").exists()
+
+
 def _train_on_damaged_data(tiny_cfg, tmp_path, damage):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
@@ -213,6 +224,41 @@ def test_eval_on_other_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigError"
     assert "num_categories" in payload["message"]
+
+
+def test_eval_on_non_finite_images_is_json_error(tiny_cfg, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 0
+    images = np.load(data_dir / "images.npy")
+    images[1, 2, 3, 4] = np.nan
+    np.save(data_dir / "images.npy", images)
+    capsys.readouterr()
+    for argv in (["eval", str(tmp_path / "run" / "checkpoint_final.ckpt")],
+                 ["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "again")]):
+        assert main(argv + ["--data", str(data_dir)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "DatasetError"
+        assert "non-finite" in payload["message"]
+
+
+def test_eval_runs_one_forward_per_batch_of_eight(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "nine.cfg"
+    cfg.write_text(TINY.replace("n_images = 2", "n_images = 9"))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    batches = []
+    forward = SegModel.forward
+
+    def counted(self, images):
+        batches.append(len(images.data))
+        return forward(self, images)
+
+    monkeypatch.setattr(SegModel, "forward", counted)
+    capsys.readouterr()
+    assert main(["eval", str(run / "checkpoint_final.ckpt")]) == 0
+    assert batches == [8, 1]
+    assert json.loads(capsys.readouterr().out)["mask_agreement"] is not None
 
 
 def test_missing_checkpoint_is_json_error(tmp_path, capsys):

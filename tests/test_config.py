@@ -86,6 +86,14 @@ def test_bad_value_rejected(tmp_path):
     {"power": "nan"},
     {"power": "inf"},
     {"power": "-1"},
+    {"num_heads": "3"},
+    {"num_heads": "0"},
+    {"embed_channels": "0"},
+    {"ffn_ratio": "0"},
+    {"backbone_channels": "8,16,32"},
+    {"backbone_channels": "8,0,32,64"},
+    {"num_categories": "1"},
+    {"num_categories": "256"},
 ])
 def test_invariant_violations_raise(overrides):
     with pytest.raises(ConfigError):

@@ -105,10 +105,12 @@ def test_save_load_round_trip(tmp_path):
     lambda imgs, labels, meta: (imgs, np.where(labels == 2, -1, labels), meta),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 2}),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 256}),
+    lambda imgs, labels, meta: (np.where(imgs == imgs.max(), np.nan, imgs), labels, meta),
+    lambda imgs, labels, meta: (np.where(imgs == imgs.min(), -np.inf, imgs), labels, meta),
 ], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
         "3d-images", "no-category-count", "one-category", "float-count", "meta-list",
         "label-past-count", "negative-label", "count-below-labels",
-        "count-reaches-ignore-label"])
+        "count-reaches-ignore-label", "nan-pixel", "infinite-pixel"])
 def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
     ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
     images, labels, meta = damage(ds.images, ds.labels, {"num_categories": 3})

@@ -171,6 +171,7 @@ def test_evaluate_roundtrip_and_empty_dataset(tmp_path):
     assert 0.0 <= report["miou"] <= 1.0
     assert 0.0 <= report["pixel_accuracy"] <= 1.0
     assert len(report["per_category_iou"]) == cfg.num_categories
+    assert 0.0 <= report["mask_agreement"] <= 1.0
     empty = Dataset(images=ds.images[:0], labels=ds.labels[:0],
                     num_categories=ds.num_categories)
     with pytest.raises(ValueError, match="empty"):
@@ -209,35 +210,39 @@ def test_untrained_zero_head_predictions_score_near_chance():
 def test_mask_agreement_none_for_maskless_variants():
     cfg = tiny_config(variant="naive")
     ds = TR.default_dataset(cfg)
-    assert TR.mask_agreement(TR.build_model(cfg), ds) is None
-    cft = TR.build_model(tiny_config())
-    value = TR.mask_agreement(cft, ds)
+    report = TR.evaluate(TR.build_model(cfg), ds)
+    assert report["mask_agreement"] is None
+    assert 0.0 <= report["miou"] <= 1.0
+    value = TR.evaluate(TR.build_model(tiny_config()), ds)["mask_agreement"]
     assert 0.0 <= value <= 1.0
 
 
 def test_mask_agreement_scores_only_kept_pixels():
-    cfg = tiny_config()
+    # nine images: the counts pool over a full batch of 8 and a batch of 1
+    cfg = tiny_config(n_images=9)
     model = TR.build_model(cfg)
     ds = TR.default_dataset(cfg)
     labels = ds.labels.copy()
     labels[:, :, labels.shape[2] // 2:] = 255
     with no_grad():
-        _, masks = model(Tensor(ds.images))
+        masks = [model(Tensor(ds.images[lo:lo + 8]))[1] for lo in (0, 8)]
     matched = scored = 0
     n, size, _ = labels.shape
-    for mask in masks:
-        h, w = mask.shape[2:]
-        for b in range(n):
+    for b in range(n):
+        for mask in masks[b // 8]:
+            h, w = mask.shape[2:]
             for i in range(h):
                 for j in range(w):
                     y = labels[b, int((i + 0.5) * size / h), int((j + 0.5) * size / w)]
                     if y != 255:
                         scored += 1
-                        matched += int(np.argmax(mask.data[b, :, i, j]) == y)
+                        matched += int(np.argmax(mask.data[b % 8, :, i, j]) == y)
     half = Dataset(ds.images, labels, ds.num_categories)
-    assert TR.mask_agreement(model, half) == matched / scored
+    assert TR.evaluate(model, half)["mask_agreement"] == matched / scored
+    # with no pixel left to score, the pixel metrics refuse the dataset
     void = Dataset(ds.images, np.full_like(labels, 255), ds.num_categories)
-    assert TR.mask_agreement(model, void) is None
+    with pytest.raises(ValueError, match="empty confusion matrix"):
+        TR.evaluate(model, void)
 
 
 def test_run_ablation_rows_and_determinism(tmp_path):
