@@ -205,7 +205,7 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams
     b, c, h, w = f_high.shape
     if c != params.channels:
         raise ShapeError(f"expected {params.channels} channels, got {c}")
-    normed = layer_norm(f_high, params.norm_embed.gamma, params.norm_embed.beta, axis=1)
+    normed = layer_norm(f_high, params.norm_embed.gamma, params.norm_embed.beta)
     mask_logits = conv1x1(normed, params.phi_mask.w, params.phi_mask.b)
     feats = conv1x1(normed, params.phi_feat.w, params.phi_feat.b)
     weights = softmax(reshape(mask_logits, (b, mask_logits.shape[1], h * w)), axis=2)
@@ -214,7 +214,7 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams
 
 def _ffn(x: Tensor, params: CftBlockParams) -> Tensor:
     """Pre-norm feed-forward on a map: expand, depthwise 3x3, gelu, project."""
-    normed = layer_norm(x, params.norm_ffn.gamma, params.norm_ffn.beta, axis=1)
+    normed = layer_norm(x, params.norm_ffn.gamma, params.norm_ffn.beta)
     hidden = conv1x1(normed, params.ffn_expand.w, params.ffn_expand.b)
     hidden = gelu(depthwise_conv3x3(hidden, params.ffn_dw.w, params.ffn_dw.b))
     return conv1x1(hidden, params.ffn_project.w, params.ffn_project.b)
@@ -280,9 +280,9 @@ def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
         if wiring.pool:
             source = adaptive_avg_pool(source, *kv_pool_hw)
         kv_rows = _to_rows(layer_norm(source, params.norm_embed.gamma,
-                                      params.norm_embed.beta, axis=1))
+                                      params.norm_embed.beta))
     queries = conv1x1(layer_norm(query_map, params.norm_query.gamma,
-                                 params.norm_query.beta, axis=1),
+                                 params.norm_query.beta),
                       params.w_q.w, params.w_q.b)
     attended = _attend(queries, linear(kv_rows, params.w_k.w, params.w_k.b),
                        linear(kv_rows, params.w_v.w, params.w_v.b),

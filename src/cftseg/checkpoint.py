@@ -64,19 +64,27 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     return path
 
 
-def _check_header(archive: zipfile.ZipFile, info: zipfile.ZipInfo, size: int) -> None:
-    """Before np.load allocates what a member's .npy header claims, refuse it
-    unless stored plainly (bit 0 flags encryption) and claiming its own size."""
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, size: int,
+                 kind: type, ndim: int) -> np.ndarray:
+    """One member's array, its .npy header parsed once. Before anything is
+    allocated for what the header claims, refuse the member unless stored
+    plainly (bit 0 flags encryption), claiming its own size and holding
+    `kind` values at rank `ndim`. The data is read to its end, so zipfile
+    checks its CRC-32."""
     if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1
             or info.file_size > size):
         raise CheckpointError(f"{info.filename}: not a plain stored member")
     with archive.open(info) as member:
         version = np.lib.format.read_magic(member)
+        # Fortran order changes nothing at the members' rank 0 or 1
         shape, _, dtype = np.lib.format.read_array_header_1_0(member)
         claimed = member.tell() + math.prod(shape) * dtype.itemsize
-    if version != (1, 0) or claimed != info.file_size:
-        raise CheckpointError(f"{info.filename}: .npy {version} header claims "
-                              f"{claimed} bytes, the member holds {info.file_size}")
+        if version != (1, 0) or claimed != info.file_size:
+            raise CheckpointError(f"{info.filename}: .npy {version} header claims "
+                                  f"{claimed} bytes, the member holds {info.file_size}")
+        if dtype.type is not kind or len(shape) != ndim:
+            raise CheckpointError(f"{info.filename} has the wrong dtype or rank")
+        return np.frombuffer(bytearray(member.read()), dtype).reshape(shape)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -87,18 +95,17 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path} is not a .npz checkpoint{old}")
         fh.seek(0)
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                if sorted(npz.files) != sorted(_MEMBERS):
-                    raise CheckpointError(f"unexpected members {npz.files}")
-                for info in npz.zip.infolist():
-                    _check_header(npz.zip, info, os.fstat(fh.fileno()).st_size)
-                m = {name: npz[name] for name in _MEMBERS}
+            with zipfile.ZipFile(fh) as archive:
+                infos = archive.infolist()
+                names = [info.filename.removesuffix(".npy") for info in infos]
+                if sorted(names) != sorted(_MEMBERS):
+                    raise CheckpointError(f"unexpected members {names}")
+                size = os.fstat(fh.fileno()).st_size
+                m = {name: _read_member(archive, info, size, *_MEMBERS[name])
+                     for name, info in zip(names, infos)}
         except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError,
                 NotImplementedError) as err:
             raise CheckpointError(f"corrupt checkpoint {path}: {err}") from err
-    if any(m[name].dtype.type is not kind or m[name].ndim != ndim
-           for name, (kind, ndim) in _MEMBERS.items()):
-        raise CheckpointError("a member has the wrong dtype or rank")
     if m["format"] != FORMAT.format(VERSION):
         raise CheckpointError(f"unsupported format {m['format']}")
     names, ndims, dims = m["names"].tolist(), m["ndims"].tolist(), m["dims"].tolist()

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ConfigError("flip_prob must lie in [0, 1]")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError("weight_decay must be non-negative and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.n_images < 1:
             raise ConfigError("n_images must be at least 1")
         if self.checkpoint_every < 0 or self.log_every < 1:

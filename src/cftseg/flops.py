@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .blocks import _WIRINGS, _Wiring
-from .model import NUM_STAGES, SegModel
+from .model import NUM_STAGES, ModelConfig, SegModel
 
 
 def conv1x1_flops(batch: int, c_in: int, h: int, w: int, c_out: int) -> int:
@@ -89,19 +89,10 @@ def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
     return embed + proj + attention_flops(n_q, n_k, c) + ffn
 
 
-def count_flops(model_or_config, input_hw: tuple[int, int] = (128, 128),
-                variant: str | None = None, batch: int = 1) -> FlopsReport:
-    """Per-module FLOPs/params for a model or config at the given input."""
-    if isinstance(model_or_config, SegModel):
-        model = model_or_config
-        config = model.config
-        variant = model.variant if variant is None else variant
-    else:
-        model = None
-        config = model_or_config
-        variant = "cft" if variant is None else variant
-    if model is None or model.variant != variant:
-        model = SegModel(config, variant)
+def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
+                variant: str = "cft", batch: int = 1) -> FlopsReport:
+    """Per-module FLOPs/params for a model config and variant at the given input."""
+    model = SegModel(config, variant)
     if batch < 1:
         raise ConfigError("batch must be at least 1")
 

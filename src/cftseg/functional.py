@@ -22,33 +22,28 @@ __all__ = [
 ]
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the trailing axis: y[..., o] = sum_c x[..., c] w[o, c] + b[o]."""
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2-d (out, in), got {w.shape}")
     if x.ndim < 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
     out_dim, in_dim = w.shape
-    if bias is not None and bias.shape != (out_dim,):
+    if bias.shape != (out_dim,):
         raise ShapeError(f"linear bias must have shape ({out_dim},), got {bias.shape}")
     xd, wd = x.data, w.data
-    y = xd @ wd.T
-    if bias is not None:
-        y = y + bias.data
+    y = xd @ wd.T + bias.data
 
     def bwd(g):
         gx = g @ wd if x.requires_grad else None
         gw = g.reshape(-1, out_dim).T @ xd.reshape(-1, in_dim) if w.requires_grad else None
-        gb = None
-        if bias is not None and bias.requires_grad:
-            gb = g.reshape(-1, out_dim).sum(axis=0)
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        gb = g.reshape(-1, out_dim).sum(axis=0) if bias.requires_grad else None
+        return gx, gw, gb
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return Tensor._result(y, inputs, "linear", bwd)
+    return Tensor._result(y, (x, w, bias), "linear", bwd)
 
 
-def conv1x1(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Pointwise convolution: a per-position channel mix of a B x C x H x W map."""
     if x.ndim != 4:
         raise ShapeError(f"conv1x1 expects a 4-d map, got {x.shape}")
@@ -56,12 +51,10 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv1x1: weight {w.shape} does not match input {x.shape}")
     b_, c_in, h_, w_ = x.shape
     c_out = w.shape[0]
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ShapeError(f"conv1x1 bias must have shape ({c_out},), got {bias.shape}")
     xd = x.data.reshape(b_, c_in, h_ * w_)
-    y = np.matmul(w.data, xd).reshape(b_, c_out, h_, w_)
-    if bias is not None:
-        y = y + bias.data[None, :, None, None]
+    y = np.matmul(w.data, xd).reshape(b_, c_out, h_, w_) + bias.data[None, :, None, None]
 
     def bwd(g):
         g3 = g.reshape(b_, c_out, h_ * w_)
@@ -69,13 +62,10 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         gw = None
         if w.requires_grad:
             gw = np.matmul(g3, xd.transpose(0, 2, 1)).sum(axis=0)
-        gb = None
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        return gx, gw, gb
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return Tensor._result(y, inputs, "conv1x1", bwd)
+    return Tensor._result(y, (x, w, bias), "conv1x1", bwd)
 
 
 # Elements per block of whole (image, channel) planes in depthwise_conv3x3:
@@ -104,7 +94,7 @@ def _block_buffers(step: int, h: int, w: int) -> tuple[Array, Array, Array]:
     return pad, tmp, gpad
 
 
-def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Per-channel 3x3 convolution, stride 1, zero padding 1.
 
     Both directions run the nine taps over blocks of whole (image, channel)
@@ -116,7 +106,7 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tenso
     b_, c_, h_, w_ = x.shape
     if w.shape != (c_, 3, 3):
         raise ShapeError(f"depthwise weight must have shape ({c_}, 3, 3), got {w.shape}")
-    if bias is not None and bias.shape != (c_,):
+    if bias.shape != (c_,):
         raise ShapeError(f"depthwise bias must have shape ({c_},), got {bias.shape}")
     planes = b_ * c_
     x3 = x.data.reshape(planes, h_, w_)
@@ -139,8 +129,7 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tenso
             for dj in range(3):
                 np.multiply(wb[:, di, dj], xp[:, di:di + h_, dj:dj + w_], out=tb)
                 yb += tb
-    if bias is not None:
-        y += bias.data[None, :, None, None]
+    y += bias.data[None, :, None, None]
 
     def bwd(g):
         g3 = g.reshape(planes, h_, w_)
@@ -168,13 +157,10 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tenso
                                   out=gw3[s, di, dj])
         gx = gx3.reshape(x.shape) if gx3 is not None else None
         gw = gw3.reshape(b_, c_, 3, 3).sum(axis=0) if gw3 is not None else None
-        gb = None
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        return gx, gw, gb
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return Tensor._result(y, inputs, "depthwise_conv3x3", bwd)
+    return Tensor._result(y, (x, w, bias), "depthwise_conv3x3", bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -190,34 +176,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), "softmax", bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
-               axis: int = -1) -> Tensor:
-    """Normalize over one (channel) axis per remaining position, then affine."""
-    axis = axis % x.ndim
-    c = x.shape[axis]
+# added to the channel variance in layer_norm
+_LN_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the channels of a B x C x H x W map per position, then affine."""
+    if x.ndim != 4:
+        raise ShapeError(f"layer_norm expects a 4-d map, got {x.shape}")
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine params must have shape ({c},), "
                          f"got {gamma.shape} and {beta.shape}")
-    bshape = [1] * x.ndim
-    bshape[axis] = c
-    gd = gamma.data.reshape(bshape)
-    bd = beta.data.reshape(bshape)
-    mean = x.data.mean(axis=axis, keepdims=True)
+    gd = gamma.data.reshape(1, c, 1, 1)
+    bd = beta.data.reshape(1, c, 1, 1)
+    mean = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mean
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     y = xhat * gd + bd
-    other_axes = tuple(a for a in range(x.ndim) if a != axis)
 
     def bwd(g):
         gx = None
         if x.requires_grad:
             gxh = g * gd
-            gx = inv * (gxh - gxh.mean(axis=axis, keepdims=True)
-                        - xhat * (gxh * xhat).mean(axis=axis, keepdims=True))
-        gg = (g * xhat).sum(axis=other_axes) if gamma.requires_grad else None
-        gb = g.sum(axis=other_axes) if beta.requires_grad else None
+            gx = inv * (gxh - gxh.mean(axis=1, keepdims=True)
+                        - xhat * (gxh * xhat).mean(axis=1, keepdims=True))
+        gg = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
         return gx, gg, gb
 
     return Tensor._result(y, (x, gamma, beta), "layer_norm", bwd)

@@ -77,7 +77,7 @@ def _standardize_channels(x: Tensor) -> Tensor:
     eps regime of downstream layer norms.
     """
     c = x.shape[1]
-    return layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), axis=1)
+    return layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)))
 
 
 def toy_backbone(images: Tensor, stages: Sequence[StageParams]) -> tuple[Tensor, ...]:
@@ -202,6 +202,3 @@ class SegModel:
             out.update(named_tensors(blk, f"block.s{NUM_STAGES - 1 - idx}"))
         out.update(named_tensors(self.classifier, "decode.cls"))
         return out
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())

@@ -23,19 +23,9 @@ def poly_lr(baselr: float, iteration: int, total_iters: int,
     return baselr * (1.0 - iteration / total_iters) ** power
 
 
-def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
-               v: np.ndarray, step: int, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.0) -> None:
-    """One in-place AdamW update; step counts from 1 for bias correction."""
-    beta1, beta2 = betas
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
+# Adam's moment decay rates and the denominator's guard
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
 
 
 class AdamW:
@@ -44,16 +34,13 @@ class AdamW:
     The parameters, both moments and a gradient buffer are four contiguous
     float64 vectors. Each parameter's `data` and its `m[name]`, `v[name]`
     entries are reshaped views into them, so a step is a dozen whole-vector
-    numpy calls, in the operation order of `adamw_step` and bit-identical
-    to it per parameter.
+    numpy calls. Per parameter they give, bit for bit, the textbook update
+    evaluated in this order: m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    p -= lr (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd p).
     """
 
-    def __init__(self, params: Mapping[str, Tensor],
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Mapping[str, Tensor], weight_decay: float = 0.0):
         self.params = dict(params)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         tensors = list(self.params.values())
@@ -82,19 +69,17 @@ class AdamW:
                        out=grad)
         self._check_finite(grad, "gradient")
         self.step_count += 1
-        beta1, beta2 = self.betas
         a, b = self._work
-        # the operations of adamw_step in its order, so results are bit-identical
-        m *= beta1
-        m += np.multiply(1.0 - beta1, grad, out=a)
-        v *= beta2
-        np.multiply(1.0 - beta2, grad, out=a)
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, grad, out=a)
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, grad, out=a)
         a *= grad
         v += a
-        np.divide(m, 1.0 - beta1 ** self.step_count, out=a)
-        np.divide(v, 1.0 - beta2 ** self.step_count, out=b)
+        np.divide(m, 1.0 - _BETA1 ** self.step_count, out=a)
+        np.divide(v, 1.0 - _BETA2 ** self.step_count, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _EPS
         a /= b
         a += np.multiply(self.weight_decay, param, out=b)
         a *= lr

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,12 +117,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
 
 # ---------------------------------------------------------------------------
 # elementwise
@@ -219,8 +213,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 # shape movement
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in (shape if isinstance(shape, Iterable) else (shape,)))
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}")
     old = a.shape

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -92,9 +93,14 @@ def _check_category_count(dataset: Dataset, num_categories: int) -> None:
 
 def _diverged(out: Path, err: DivergedError, record: dict) -> NoReturn:
     """Write `diverged.json` (the step's record plus what went non-finite,
-    and where) and raise `err` with the same diagnostics."""
-    err.diagnostics = {**record, **err.diagnostics}
-    (out / "diverged.json").write_text(json.dumps(err.diagnostics) + "\n")
+    and where) and raise `err` with the same diagnostics. Non-finite
+    floats become the strings "nan", "inf" and "-inf", since JSON has no
+    literal for them."""
+    err.diagnostics = {
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in {**record, **err.diagnostics}.items()}
+    (out / "diverged.json").write_text(
+        json.dumps(err.diagnostics, allow_nan=False) + "\n")
     raise err
 
 
@@ -215,17 +221,17 @@ ABLATION_HEADER = ("variant", "mask_mode", "params", "flops", "miou",
 
 def run_ablation(config: TrainConfig, out_dir,
                  variants: Sequence[str] = VARIANT_CHOICES,
-                 mask_modes: Sequence[str] = ("cumulative",),
-                 heldout_seed_offset: int = 1000) -> list[dict]:
+                 mask_modes: Sequence[str] = ("cumulative",)) -> list[dict]:
     """Train/evaluate each (variant, mask_mode) under one seed and budget.
 
     mIoU and pixel accuracy are measured on the training images (fit
-    quality); mask agreement is measured on freshly drawn held-out scenes.
+    quality); mask agreement is measured on freshly drawn held-out scenes,
+    those of seed + 1000.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = default_dataset(config)
-    heldout = default_dataset(config, seed=config.seed + heldout_seed_offset)
+    heldout = default_dataset(config, seed=config.seed + 1000)
     rows: list[dict] = []
     for variant in variants:
         for mode in mask_modes:

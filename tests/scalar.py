@@ -19,4 +19,4 @@ def dot(a: Tensor, b=None) -> Tensor:
     n = a.size
     if not isinstance(b, Tensor):
         b = Tensor(np.ones(n) if b is None else b)
-    return linear(reshape(a, (1, n)), reshape(b, (1, n)))
+    return linear(reshape(a, (1, n)), reshape(b, (1, n)), Tensor(np.zeros(1)))

@@ -18,6 +18,7 @@ from cftseg.flops import count_flops
 from cftseg.losses import LossBreakdown
 from cftseg.optim import AdamW, poly_lr
 from cftseg.tensor import Tensor
+import cftseg.tensor as T
 import cftseg.train as TR
 
 import oracles as O
@@ -53,7 +54,7 @@ def test_mask_normalization():
         f = Tensor(rng.standard_normal((2, 8, 4, 5)) * rng.uniform(0.2, 5.0))
         _, masks = B.category_feature_embedding(f, params)
         b, l, h, w = masks.shape
-        weights = F.softmax(masks.reshape((b, l, h * w)), axis=2)
+        weights = F.softmax(T.reshape(masks, (b, l, h * w)), axis=2)
         worst = max(worst, float(np.abs(weights.data.sum(axis=2) - 1.0).max()))
     check("mask-normalization", worst < 1e-6,
           f"100 inputs, worst |sum-1| {worst:.1e}")
@@ -66,8 +67,7 @@ def test_convex_hull():
         params = make_block(seed=1000 + trial)
         f = Tensor(rng.standard_normal((2, 8, 5, 5)) * rng.uniform(0.2, 5.0))
         emb, _ = B.category_feature_embedding(f, params)
-        normed = F.layer_norm(f, params.norm_embed.gamma,
-                              params.norm_embed.beta, axis=1)
+        normed = F.layer_norm(f, params.norm_embed.gamma, params.norm_embed.beta)
         projected = F.conv1x1(normed, params.phi_feat.w, params.phi_feat.b).data
         flat = projected.reshape(2, 8, -1)
         lo = flat.min(axis=2) - 1e-12

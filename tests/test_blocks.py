@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor, backward
+import cftseg.tensor as T
 from cftseg.tensor import trace
 from cftseg.errors import ConfigError
 import cftseg.blocks as B
@@ -45,7 +46,7 @@ def test_mask_weights_sum_to_one_per_category():
     params = make_params()
     f = rand_map(rng, 2, 8, 4, 5)
     emb, masks = B.category_feature_embedding(f, params)
-    weights = F.softmax(masks.reshape((2, 3, 20)), axis=2).data
+    weights = F.softmax(T.reshape(masks, (2, 3, 20)), axis=2).data
     np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-6)
 
 
@@ -66,7 +67,7 @@ def test_zero_mask_head_gives_spatial_mean_embedding():
     params.phi_mask.w.data[...] = 0.0
     f = rand_map(rng, 1, 8, 4, 4)
     emb, _ = B.category_feature_embedding(f, params)
-    normed = F.layer_norm(f, params.norm_embed.gamma, params.norm_embed.beta, axis=1)
+    normed = F.layer_norm(f, params.norm_embed.gamma, params.norm_embed.beta)
     projected = F.conv1x1(normed, params.phi_feat.w, params.phi_feat.b)
     mean_feat = projected.data[0].reshape(8, -1).mean(axis=1)
     for l in range(3):
@@ -78,7 +79,7 @@ def test_embedding_rows_stay_inside_projected_feature_hull():
     params = make_params(seed=13)
     f = rand_map(rng, 2, 8, 5, 5)
     emb, _ = B.category_feature_embedding(f, params)
-    normed = F.layer_norm(f, params.norm_embed.gamma, params.norm_embed.beta, axis=1)
+    normed = F.layer_norm(f, params.norm_embed.gamma, params.norm_embed.beta)
     projected = F.conv1x1(normed, params.phi_feat.w, params.phi_feat.b).data
     flat = projected.reshape(2, 8, -1)
     lo = flat.min(axis=2) - 1e-12

@@ -1,6 +1,8 @@
 """Checkpoint .npz format: round trip, corruption, atomicity."""
 
+import cProfile
 import io
+import pstats
 import struct
 import tracemalloc
 import warnings
@@ -85,6 +87,15 @@ def test_plain_npy_rejected(tmp_path):
     np.save(path, np.ones(3))
     with pytest.raises(CheckpointError, match="not a .npz"):
         C.load_checkpoint(path)
+
+
+def test_each_member_header_is_parsed_once(tmp_path):
+    path = C.save_checkpoint(tmp_path / "m.ckpt", sample_checkpoint())
+    profile = cProfile.Profile()
+    profile.runcall(C.load_checkpoint, path)
+    parses = sum(calls for (_, _, func), (_, calls, *_) in
+                 pstats.Stats(profile).stats.items() if func == "read_magic")
+    assert parses == len(C._MEMBERS) == 7
 
 
 def test_truncation_rejected(tmp_path):

@@ -159,6 +159,16 @@ def test_bad_model_field_is_refused_before_any_output(line, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_negative_seed_is_refused_before_any_output(tiny_cfg, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(tiny_cfg), "--seed", "-1",
+                 "--data", str(data_dir), "--out", str(tmp_path / "run")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "run").exists()
+
+
 def _train_on_damaged_data(tiny_cfg, tmp_path, damage):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0

@@ -94,6 +94,7 @@ def test_bad_value_rejected(tmp_path):
     {"backbone_channels": "8,0,32,64"},
     {"num_categories": "1"},
     {"num_categories": "256"},
+    {"seed": "-1"},
 ])
 def test_invariant_violations_raise(overrides):
     with pytest.raises(ConfigError):

@@ -22,9 +22,7 @@ def conv1x1_oracle(x, w, b):
     out = np.zeros((B, O, H, W))
     for n in range(B):
         out[n] = (w @ x[n].reshape(C, H * W)).reshape(O, H, W)
-    if b is not None:
-        out += b[None, :, None, None]
-    return out
+    return out + b[None, :, None, None]
 
 
 def depthwise_oracle(x, w, b):
@@ -40,7 +38,7 @@ def depthwise_oracle(x, w, b):
                             si, sj = i + di - 1, j + dj - 1
                             if 0 <= si < H and 0 <= sj < W:
                                 acc += w[c, di, dj] * x[n, c, si, sj]
-                    out[n, c, i, j] = acc + (b[c] if b is not None else 0.0)
+                    out[n, c, i, j] = acc + b[c]
     return out
 
 
@@ -62,8 +60,8 @@ def depthwise_grad_oracle(x, w, g):
     return gx, gw, gb
 
 
-def layer_norm_oracle(x, gamma, beta, eps, axis):
-    moved = np.moveaxis(x, axis, -1).copy()
+def layer_norm_oracle(x, gamma, beta, eps):
+    moved = np.moveaxis(x, 1, -1).copy()
     flat = moved.reshape(-1, moved.shape[-1])
     out = np.empty_like(flat)
     for r in range(flat.shape[0]):
@@ -71,7 +69,7 @@ def layer_norm_oracle(x, gamma, beta, eps, axis):
         m = row.mean()
         v = ((row - m) ** 2).mean()
         out[r] = (row - m) / np.sqrt(v + eps) * gamma + beta
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    return np.moveaxis(out.reshape(moved.shape), -1, 1)
 
 
 def bilinear_oracle(x, out_h, out_w):
@@ -118,7 +116,7 @@ def test_conv1x1_single_position_equals_matmul():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 5, 1, 1))
     w = rng.standard_normal((4, 5))
-    got = F.conv1x1(Tensor(x), Tensor(w)).data[:, :, 0, 0]
+    got = F.conv1x1(Tensor(x), Tensor(w), Tensor(np.zeros(4))).data[:, :, 0, 0]
     np.testing.assert_allclose(got, x[:, :, 0, 0] @ w.T, rtol=0, atol=1e-14)
 
 
@@ -126,7 +124,7 @@ def test_conv1x1_equals_reshape_matmul_reshape_exactly():
     rng = np.random.default_rng(2)
     xd = rng.standard_normal((2, 6, 5, 3))
     wd = rng.standard_normal((4, 6))
-    via_conv = F.conv1x1(Tensor(xd), Tensor(wd)).data
+    via_conv = F.conv1x1(Tensor(xd), Tensor(wd), Tensor(np.zeros(4))).data
     for n in range(2):
         via_mm = np.matmul(wd, xd[n].reshape(6, 15)).reshape(4, 5, 3)
         np.testing.assert_array_equal(via_conv[n], via_mm)
@@ -149,9 +147,9 @@ def test_conv1x1_gradients():
 
 def test_conv1x1_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        F.conv1x1(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3))))
+        F.conv1x1(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
-        F.conv1x1(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((2, 5))))
+        F.conv1x1(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((2, 5))), Tensor(np.zeros(2)))
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def test_depthwise_identity_kernel():
     x = rng.standard_normal((1, 2, 4, 4))
     w = np.zeros((2, 3, 3))
     w[:, 1, 1] = 1.0
-    got = F.depthwise_conv3x3(Tensor(x), Tensor(w)).data
+    got = F.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(np.zeros(2))).data
     np.testing.assert_array_equal(got, x)
 
 
@@ -339,28 +337,34 @@ def test_layer_norm_matches_per_position_oracle():
     x = rng.standard_normal((2, 6, 3, 4))
     g = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    got = F.layer_norm(Tensor(x), Tensor(g), Tensor(b), axis=1).data
-    np.testing.assert_allclose(got, layer_norm_oracle(x, g, b, 1e-6, 1), atol=1e-12)
+    got = F.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+    np.testing.assert_allclose(got, layer_norm_oracle(x, g, b, 1e-6), atol=1e-12)
 
 
 def test_layer_norm_output_is_standardized():
     rng = np.random.default_rng(14)
     c = 16
-    x = rng.standard_normal((3, 5, c)) * 4 + 7
+    x = rng.standard_normal((3, c, 5, 1)) * 4 + 7
     y = F.layer_norm(Tensor(x), Tensor(np.ones(c)), Tensor(np.zeros(c))).data
-    np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
-    np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
+    np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
+    np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 6), (2, 6, 3), (2, 6, 3, 4, 1)])
+def test_layer_norm_accepts_only_4d_maps(shape):
+    with pytest.raises(ShapeError, match="4-d map"):
+        F.layer_norm(Tensor(np.ones(shape)), Tensor(np.ones(6)), Tensor(np.zeros(6)))
 
 
 def test_layer_norm_gradients():
     rng = np.random.default_rng(15)
-    x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 5, 4, 1)), requires_grad=True)
     g = Tensor(rng.standard_normal(5), requires_grad=True)
     b = Tensor(rng.standard_normal(5), requires_grad=True)
-    proj = Tensor(rng.standard_normal((2, 5, 4)))
+    proj = Tensor(rng.standard_normal((2, 5, 4, 1)))
 
     def loss_fn(_=None):
-        return dot(F.layer_norm(x, g, b, axis=1), proj)
+        return dot(F.layer_norm(x, g, b), proj)
 
     grads = backward(loss_fn())
     for p in (x, g, b):

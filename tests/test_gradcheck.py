@@ -37,8 +37,10 @@ def test_check_gradients_reports_per_group():
     x = Tensor(rng.standard_normal((6, 4)))
 
     def loss_fn():
-        h = F.linear(x, T.transpose(w))
-        rows = [F.linear(Tensor(np.eye(6)[i:i + 1]), T.transpose(h)).reshape((4,)) + b
+        zero = Tensor(np.zeros(4))
+        h = F.linear(x, T.transpose(w), zero)
+        rows = [T.reshape(F.linear(Tensor(np.eye(6)[i:i + 1]), T.transpose(h), zero),
+                          (4,)) + b
                 for i in range(6)]
         return dot(T.gelu(T.concat(rows, axis=0)))
 
@@ -56,7 +58,8 @@ def test_linear_only_model_is_exact_to_1e10():
     proj = Tensor(rng.standard_normal((5,)))
 
     def loss_fn():
-        return dot(F.linear(x.reshape((1, 5)), w).reshape((5,)), proj)
+        y = F.linear(T.reshape(x, (1, 5)), w, Tensor(np.zeros(5)))
+        return dot(T.reshape(y, (5,)), proj)
 
     grads = backward(loss_fn())
     numeric = finite_diff_grad(lambda _: loss_fn(), w, h=1e-3)

@@ -152,16 +152,32 @@ def test_parameter_names_are_pinned():
                       "c": 86, "none": 26}
 
 
+@pytest.mark.parametrize("variant", B.VARIANTS + ("none",))
+def test_no_grad_forward_equals_the_recorded_forward_bit_for_bit(variant):
+    model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(5),
+                       zero_residual_paths=False)
+    images = Tensor(np.random.default_rng(6).standard_normal((2, 3, 64, 64)))
+    logits, masks = model(images)
+    with T.no_grad():
+        plain_logits, plain_masks = model(images)
+    assert logits.op is not None and plain_logits.op is None
+    assert len(plain_masks) == len(masks) == (3 if variant == "cft" else 0)
+    for plain, recorded in zip([plain_logits, *plain_masks], [logits, *masks]):
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+
 def test_category_param_surplus_is_exactly_the_phi_heads():
     cfg = small_config()
     full = M.SegModel(cfg, variant="cft", rng=np.random.default_rng(18))
     naive = M.SegModel(cfg, variant="naive", rng=np.random.default_rng(18))
     none = M.SegModel(cfg, variant="none", rng=np.random.default_rng(18))
     c, l = cfg.embed_channels, cfg.num_categories
+    full_n, naive_n, none_n = (sum(t.size for t in m.named_parameters().values())
+                               for m in (full, naive, none))
     phi_per_block = (l * c + l) + (c * c + c)
-    assert full.parameter_count() - naive.parameter_count() == 3 * phi_per_block
+    assert full_n - naive_n == 3 * phi_per_block
     block_params = sum(t.size for t in B.named_tensors(full.blocks[0], "x").values())
-    assert full.parameter_count() - none.parameter_count() == 3 * block_params
+    assert full_n - none_n == 3 * block_params
 
 
 def test_config_validation():

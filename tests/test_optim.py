@@ -10,6 +10,21 @@ import cftseg.tensor as T
 from scalar import dot
 
 
+def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+               v: np.ndarray, step: int, lr: float,
+               weight_decay: float = 0.0) -> None:
+    """One in-place AdamW update of one parameter, the oracle of the flat
+    `AdamW`; step counts from 1 for bias correction."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** step)
+    v_hat = v / (1.0 - beta2 ** step)
+    param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
+
+
 class TestPolyLr:
     def test_endpoints_exact(self):
         assert O.poly_lr(6e-5, 0, 500) == 6e-5
@@ -37,7 +52,7 @@ class TestAdamWStep:
         grad = np.array([0.3, -0.1])
         m = np.zeros(2)
         v = np.zeros(2)
-        O.adamw_step(param, grad, m, v, step=1, lr=0.01)
+        adamw_step(param, grad, m, v, step=1, lr=0.01)
         m_hat = grad  # (1-b1)g / (1-b1)
         v_hat = grad * grad
         want = np.array([1.0, -2.0]) - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -46,18 +61,18 @@ class TestAdamWStep:
     def test_zero_grads_fresh_moments_leave_params_alone(self):
         param = np.array([0.5])
         m, v = np.zeros(1), np.zeros(1)
-        O.adamw_step(param, np.zeros(1), m, v, step=1, lr=0.1)
+        adamw_step(param, np.zeros(1), m, v, step=1, lr=0.1)
         np.testing.assert_array_equal(param, [0.5])
 
     def test_zero_grads_with_decay_shrink_by_lr_wd(self):
         param = np.array([2.0])
         m, v = np.zeros(1), np.zeros(1)
-        O.adamw_step(param, np.zeros(1), m, v, step=1, lr=0.1, weight_decay=0.05)
+        adamw_step(param, np.zeros(1), m, v, step=1, lr=0.1, weight_decay=0.05)
         np.testing.assert_allclose(param, [2.0 * (1.0 - 0.1 * 0.05)], rtol=1e-15)
 
     def test_moments_decay_under_zero_grads(self):
         m, v = np.array([1.0]), np.array([1.0])
-        O.adamw_step(np.zeros(1), np.zeros(1), m, v, step=5, lr=0.0)
+        adamw_step(np.zeros(1), np.zeros(1), m, v, step=5, lr=0.0)
         np.testing.assert_allclose(m, [0.9])
         np.testing.assert_allclose(v, [0.999])
 
@@ -65,7 +80,7 @@ class TestAdamWStep:
         x = np.array([1.0])
         m, v = np.zeros(1), np.zeros(1)
         for step in range(1, 201):
-            O.adamw_step(x, 2.0 * x.copy(), m, v, step=step, lr=0.1)
+            adamw_step(x, 2.0 * x.copy(), m, v, step=step, lr=0.1)
         assert abs(x[0]) < 1e-3
 
 
@@ -88,7 +103,7 @@ class TestAdamWClass:
             grads = {p: rng.standard_normal(4) for p in params.values()}
             opt.step(grads, lr=0.05)
             for k, p in params.items():
-                O.adamw_step(shadow[k], grads[p], sm[k], sv[k], step,
+                adamw_step(shadow[k], grads[p], sm[k], sv[k], step,
                              lr=0.05, weight_decay=0.01)
                 np.testing.assert_array_equal(p.data, shadow[k])
 
@@ -162,7 +177,7 @@ class TestFlatAdamW:
                      for p in params.values()}
             opt.step(grads, lr=lr)
             for k, p in params.items():
-                O.adamw_step(shadow[k], grads[p], sm[k], sv[k], step,
+                adamw_step(shadow[k], grads[p], sm[k], sv[k], step,
                              lr=lr, weight_decay=0.01)
                 np.testing.assert_array_equal(p.data, shadow[k], err_msg=k)
                 np.testing.assert_array_equal(opt.m[k], sm[k], err_msg=k)

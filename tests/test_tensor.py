@@ -143,7 +143,7 @@ def test_replay_same_graph_is_bit_identical():
 
     def run():
         x = Tensor(data, requires_grad=True)
-        y = T.gelu(F.linear(x, Tensor(w.T)))
+        y = T.gelu(F.linear(x, Tensor(w.T), Tensor(np.zeros(5))))
         loss = dot(y, y) * (1.0 / y.size)
         return loss.item(), backward(loss)[x]
 

@@ -127,8 +127,15 @@ def test_non_finite_loss_aborts_with_diagnostics(tmp_path):
                        labels=ds.labels, num_categories=ds.num_categories)
     with pytest.raises(DivergedError) as err:
         TR.train(cfg, tmp_path, dataset=poisoned)
-    assert err.value.diagnostics["iteration"] == 0
-    assert (tmp_path / "diverged.json").exists()
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    record = json.loads((tmp_path / "diverged.json").read_text(),
+                        parse_constant=refuse)
+    assert record == err.value.diagnostics
+    assert record["iteration"] == 0 and record["reason"] == "non-finite loss"
+    assert record["total"] == "nan" and np.isfinite(record["lr"])
 
 
 def test_non_finite_gradient_names_the_first_parameter(tmp_path, monkeypatch):
