@@ -113,7 +113,8 @@ def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
         flops[f"aggregate.s{i}"] = 0 if variant == "none" else batch * _block_flops(
             _WIRINGS[variant], counts[i - 1], counts[i], counts[-1], c, l, ratio)
 
-    flops["decode"] = conv1x1_flops(batch, NUM_STAGES * c, *sizes[0], l)
+    # the head classifies every stage at its own size (see model.decode_head)
+    flops["decode"] = sum(conv1x1_flops(batch, c, h, w, l) for h, w in sizes)
     params = dict.fromkeys(flops, 0)
     for name, tensor in model.named_parameters().items():
         # `lateral.s2.w` -> `lateral.s2`, `block.s3.w_q.w` -> `aggregate.s3`

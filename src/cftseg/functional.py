@@ -32,7 +32,8 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (out_dim,):
         raise ShapeError(f"linear bias must have shape ({out_dim},), got {bias.shape}")
     xd, wd = x.data, w.data
-    y = xd @ wd.T + bias.data
+    y = xd @ wd.T
+    y += bias.data
 
     def bwd(g):
         gx = g @ wd if x.requires_grad else None
@@ -54,7 +55,8 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1x1 bias must have shape ({c_out},), got {bias.shape}")
     xd = x.data.reshape(b_, c_in, h_ * w_)
-    y = np.matmul(w.data, xd).reshape(b_, c_out, h_, w_) + bias.data[None, :, None, None]
+    y = np.matmul(w.data, xd).reshape(b_, c_out, h_, w_)
+    y += bias.data[None, :, None, None]
 
     def bwd(g):
         g3 = g.reshape(b_, c_out, h_ * w_)
@@ -110,8 +112,10 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"depthwise bias must have shape ({c_},), got {bias.shape}")
     planes = b_ * c_
     x3 = x.data.reshape(planes, h_, w_)
-    # per-plane taps, (planes, 3, 3, 1, 1) to broadcast over one plane
+    # per-plane taps, (planes, 3, 3, 1, 1), and biases, (planes, 1, 1), to
+    # broadcast over one plane
     w3 = np.broadcast_to(w.data, (b_, c_, 3, 3)).reshape(planes, 3, 3, 1, 1)
+    b3 = np.broadcast_to(bias.data, (b_, c_)).reshape(planes, 1, 1)
     step = max(1, min(planes, _DW_BLOCK // max(1, h_ * w_)))
     blocks = [slice(i, min(i + step, planes)) for i in range(0, planes, step)]
 
@@ -121,15 +125,17 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         return xp
 
     pad, tmp, _ = _block_buffers(step, h_, w_)
-    y = np.zeros((b_, c_, h_, w_))
+    y = np.empty((b_, c_, h_, w_))
     y3 = y.reshape(planes, h_, w_)
     for s in blocks:
         xp, yb, tb, wb = padded(pad, s), y3[s], tmp[:s.stop - s.start], w3[s]
-        for di in range(3):
-            for dj in range(3):
-                np.multiply(wb[:, di, dj], xp[:, di:di + h_, dj:dj + w_], out=tb)
-                yb += tb
-    y += bias.data[None, :, None, None]
+        # the first tap writes the block; the bias joins after all nine taps
+        np.multiply(wb[:, 0, 0], xp[:, :h_, :w_], out=yb)
+        for tap in range(1, 9):
+            di, dj = divmod(tap, 3)
+            np.multiply(wb[:, di, dj], xp[:, di:di + h_, dj:dj + w_], out=tb)
+            yb += tb
+        yb += b3[s]
 
     def bwd(g):
         g3 = g.reshape(planes, h_, w_)
@@ -166,9 +172,9 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
     axis = axis % x.ndim
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
@@ -190,12 +196,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
                          f"got {gamma.shape} and {beta.shape}")
     gd = gamma.data.reshape(1, c, 1, 1)
     bd = beta.data.reshape(1, c, 1, 1)
-    mean = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    y = xhat * gd + bd
+    # two full-size buffers: xhat, and y, which first holds the squares
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=1, keepdims=True) + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += bd
 
     def bwd(g):
         gx = None

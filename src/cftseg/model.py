@@ -3,8 +3,9 @@
 A small convolutional backbone yields maps at 1/4, 1/8, 1/16 and 1/32
 of the input. Lateral pointwise convolutions bring every stage to a
 shared width, the fusion blocks aggregate top-down (coarsest stage
-passes through unchanged), and a decode head concatenates the four aligned
-maps into per-category logits at full resolution.
+passes through unchanged), and a decode head classifies each stage at its
+own size, sums the per-category maps on the finest grid and upsamples the
+logits to full resolution.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
 from .losses import check_category_count
-from .tensor import Tensor, concat, gelu
+from .tensor import Tensor, columns, gelu
 
 NUM_STAGES = 4
 
@@ -146,12 +147,27 @@ def top_down_aggregate(laterals: Sequence[Tensor],
 
 def decode_head(features: Sequence[Tensor], classifier: LinearParams,
                 out_h: int, out_w: int) -> Tensor:
-    """Resize every stage to the finest grid, concatenate, classify, upsample."""
+    """Per-category logits from the four stage maps, upsampled to out_h x out_w.
+
+    The classifier is a 1x1 conv over the stages resized to the finest grid
+    and stacked along channels: `classifier.w` is (L, 4C), one (L, C)
+    column block per stage, finest first. Resizing and the 1x1 conv are
+    both linear and commute, so each stage is classified by its block at
+    its own size and only the L-channel maps are resized and summed; the
+    bias joins the finest stage.
+    """
     if len(features) != NUM_STAGES:
         raise ConfigError(f"decode head expects {NUM_STAGES} maps")
+    c = features[0].shape[1]
+    if classifier.w.shape[1:] != (NUM_STAGES * c,):
+        raise ShapeError(f"decode classifier {classifier.w.shape} does not match "
+                         f"{NUM_STAGES} stages of {c} channels")
     th, tw = features[0].shape[2:]
-    aligned = [features[0]] + [bilinear_resize(f, th, tw) for f in features[1:]]
-    logits = conv1x1(concat(aligned, axis=1), classifier.w, classifier.b)
+    zero = Tensor(np.zeros(classifier.w.shape[0]))
+    logits = conv1x1(features[0], columns(classifier.w, 0, c), classifier.b)
+    for k, f in enumerate(features[1:], start=1):
+        stage = conv1x1(f, columns(classifier.w, k * c, (k + 1) * c), zero)
+        logits = logits + bilinear_resize(stage, th, tw)
     return bilinear_resize(logits, out_h, out_w)
 
 

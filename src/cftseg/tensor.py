@@ -142,16 +142,18 @@ def mul(a: Tensor, s) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (the fixed choice everywhere)."""
     x = a.data
-    # t = tanh(C * (x + A * x*x*x)) in place. Not x ** 3: numpy sends that
+    # t = tanh(x (C + C A x^2)) in one buffer. Not x ** 3: numpy sends that
     # to libm pow, which costs about ten times the rest of the op.
     t = np.multiply(x, x, out=np.empty_like(x))
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
     t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
     np.tanh(t, out=t)
-    y = 0.5 * x
-    y *= 1.0 + t
+    # y = 0.5 x (1 + t), written over t unless the backward needs t; both
+    # paths run the same operations, so they give the same bits
+    y = np.add(t, 1.0, out=np.empty_like(t) if _GRAD_ENABLED and a.requires_grad else t)
+    y *= x
+    y *= 0.5
 
     def bwd(g):
         # d = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2), evaluated in the
@@ -230,6 +232,20 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inv = tuple(np.argsort(axes))
     return Tensor._result(a.data.transpose(axes), (a,), "transpose",
                           lambda g: (g.transpose(inv),))
+
+
+def columns(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns [start, stop) of a 2-d tensor, as a view."""
+    if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
+        raise ShapeError(f"columns [{start}, {stop}) do not lie in shape {a.shape}")
+    shape = a.shape
+
+    def bwd(g):
+        full = np.zeros(shape)
+        full[:, start:stop] = g
+        return (full,)
+
+    return Tensor._result(a.data[:, start:stop], (a,), "columns", bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -47,7 +47,8 @@ def test_backbone_stage_hand_count():
     assert rep.flops["backbone.s1"] == 16 * 16 * 3 * 8 + 16 * 16 * 8 * 9
     assert rep.params["backbone.s1"] == 3 * 8 + 8 + 9 * 8 + 8
     assert rep.flops["aggregate.s1"] == 0
-    assert rep.flops["decode"] == 16 * 16 * (4 * 32) * 4
+    # every stage classified at its own size: 16, 8, 4 and 2 px grids
+    assert rep.flops["decode"] == (16 * 16 + 8 * 8 + 4 * 4 + 2 * 2) * 32 * 4
 
 
 def test_cft_block_hand_count():

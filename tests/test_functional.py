@@ -1,5 +1,6 @@
 """NN ops against independent loop oracles, plus per-op gradient checks."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,83 @@ def test_depthwise_peak_memory_stays_near_the_map_size():
     # the output alone is one map: a smaller peak would mean nothing was traced
     assert x.data.nbytes <= forward_peak <= 4 * x.data.nbytes
     assert x.data.nbytes <= backward_peak <= 5 * x.data.nbytes
+
+
+# --------------------------------------------------------------------------
+# allocations and inputs of the forward kernels
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("record,maps", [(False, 1), (True, 2)], ids=["no_grad", "grad"])
+def test_gelu_peak_memory_is_its_buffers(record, maps):
+    # t and y share one buffer unless the backward keeps t; three temporaries
+    # (t, 0.5 x and 1 + t) peak at three maps in either mode
+    x = Tensor(np.random.default_rng(10).standard_normal((2, 32, 48, 48)), requires_grad=True)
+    with contextlib.nullcontext() if record else T.no_grad():
+        peak = _peak_bytes(lambda: T.gelu(x))
+    assert maps * x.data.nbytes <= peak <= (maps + 0.1) * x.data.nbytes
+
+
+def test_forward_kernels_peak_near_their_outputs():
+    # no_grad; the output is one map for each op
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((2, 32, 48, 48)))
+    w, vec = Tensor(rng.standard_normal((32, 32))), Tensor(rng.standard_normal(32))
+    n = x.data.nbytes
+    with T.no_grad():
+        # xhat and y, which holds the squares first; centering, squaring and
+        # the affine in fresh arrays peak at four maps
+        assert 2 * n <= _peak_bytes(lambda: F.layer_norm(x, vec, vec)) <= 2.25 * n
+        # exp and the division in the shifted copy; a fresh array per pass is three
+        for axis in (1, -1):
+            assert n <= _peak_bytes(lambda: F.softmax(x, axis)) <= 1.25 * n
+        # the bias goes into the product; a fresh sum is two maps
+        assert n <= _peak_bytes(lambda: F.conv1x1(x, w, vec)) <= 1.25 * n
+
+
+def _read_only(*tensors):
+    for t in tensors:
+        t.data.flags.writeable = False
+    return tensors
+
+
+def test_forward_kernels_never_write_into_their_inputs():
+    # every input, parameter and output gradient is read-only, so a write
+    # into any of them raises, forward or backward
+    rng = np.random.default_rng(12)
+    shape = (2, 3, 5, 4)
+
+    def param(*s):
+        return Tensor(rng.standard_normal(s), requires_grad=True)
+
+    x, x_rows = param(*shape), param(6, 4)
+    cases = {
+        "gelu": (T.gelu, (x,)),
+        "layer_norm": (F.layer_norm, (x, param(3), param(3))),
+        "softmax": (F.softmax, (x,)),
+        "softmax_last": (lambda t: F.softmax(t, axis=-1), (x,)),
+        "conv1x1": (F.conv1x1, (x, param(4, 3), param(4))),
+        "linear": (F.linear, (x_rows, param(2, 4), param(2))),
+        "depthwise_conv3x3": (F.depthwise_conv3x3, (x, param(3, 3, 3), param(3))),
+        "columns": (lambda w: T.columns(w, 1, 3), (param(2, 4),)),
+    }
+    for name, (fn, inputs) in cases.items():
+        _read_only(*inputs)
+        with T.no_grad():
+            plain = fn(*inputs)
+        y = fn(*inputs)
+        assert plain.data.tobytes() == y.data.tobytes(), name
+        (g,) = _read_only(Tensor(rng.standard_normal(y.shape)))
+        assert all(gi is not None for gi in y.op.backward(g.data)), name
 
 
 # --------------------------------------------------------------------------

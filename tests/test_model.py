@@ -1,9 +1,11 @@
 """Pipeline wiring: backbone shapes, aggregation, decode head, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cftseg import Tensor
+from cftseg import Tensor, backward, finite_diff_grad
 from cftseg.errors import ConfigError
 import cftseg.blocks as B
 import cftseg.functional as F
@@ -97,6 +99,58 @@ def test_decode_head_is_resize_concat_classify():
     coarse = np.einsum("oc,bchw->bohw", cls.w.data, stacked) + cls.b.data[None, :, None, None]
     want = F.bilinear_resize(Tensor(coarse), 32, 32).data
     np.testing.assert_allclose(logits.data, want, atol=1e-10)
+
+
+def test_decode_head_gradients_by_finite_differences():
+    # stages of 8, 4, 2 and 1 px: the coarsest resize spreads a single pixel
+    rng = np.random.default_rng(19)
+    c = 3
+    feats = [Tensor(rng.standard_normal((2, c, 8 >> k, 8 >> k)), requires_grad=True)
+             for k in range(4)]
+    cls = M._uniform_linear(rng, 2, 4 * c)
+    proj = Tensor(rng.standard_normal((2, 2, 16, 16)))
+
+    def loss_fn(_=None):
+        return dot(M.decode_head(feats, cls, 16, 16), proj)
+
+    grads = backward(loss_fn())
+    gw, numeric_w = grads[cls.w], finite_diff_grad(loss_fn, cls.w)
+    for k in range(4):
+        block = slice(k * c, (k + 1) * c)
+        np.testing.assert_allclose(gw[:, block], numeric_w[:, block], atol=1e-8)
+    for p in (cls.b, *feats):
+        np.testing.assert_allclose(grads[p], finite_diff_grad(loss_fn, p), atol=1e-8)
+
+
+def test_decode_head_peak_memory_stays_below_one_fine_stage_map():
+    # classified per stage, only L-channel maps are resized; resizing C-channel
+    # stages to the finest grid and concatenating them holds over 7 such maps
+    rng = np.random.default_rng(20)
+    feats = [Tensor(rng.standard_normal((2, 32, 16 >> k, 16 >> k))) for k in range(4)]
+    cls = M._uniform_linear(rng, 2, 4 * 32)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            logits = M.decode_head(feats, cls, 32, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert logits.data.nbytes <= peak <= feats[0].data.nbytes
+
+
+def test_decode_head_never_writes_into_its_inputs():
+    rng = np.random.default_rng(21)
+    feats = [Tensor(rng.standard_normal((1, 2, 4 >> k, 4 >> k)), requires_grad=True)
+             for k in range(3)] + [Tensor(rng.standard_normal((1, 2, 1, 1)), requires_grad=True)]
+    cls = M._uniform_linear(rng, 3, 8)
+    for t in (*feats, cls.w, cls.b):
+        t.data.flags.writeable = False
+    with T.no_grad():
+        plain = M.decode_head(feats, cls, 8, 8)
+    logits = M.decode_head(feats, cls, 8, 8)
+    assert plain.data.tobytes() == logits.data.tobytes()
+    grads = backward(dot(logits, rng.standard_normal(logits.shape)))
+    assert set(grads) == {*feats, cls.w, cls.b}
 
 
 @pytest.mark.parametrize("variant", ["cft", "naive", "avgpool", "a", "b", "c", "none"])
