@@ -2,13 +2,13 @@
 
 Each fusion step fuses a coarse, semantically strong map `f_high` into
 the finer map `x_low` one pyramid level below it. Every variant runs the
-same body on (B, C, H, W) maps: pre-norm queries attend to key/value
-rows, the attention output is added back as a residual, and a pre-norm
-FFN adds a second residual. Only the key/value sets become (B, M, C)
-rows, so the query-side map is never transposed. `_WIRINGS` holds the
-only differences, one row per variant:
+same body on (B, C, H, W) maps: pre-norm queries attend to a key/value
+set, the attention output is added back as a residual, and a pre-norm
+FFN adds a second residual. A key/value set is a (B, C, M) array, so
+every operand stays channels first and no tape record permutes axes.
+`_WIRINGS` holds the only differences, one row per variant:
 
-    variant   query map          key/value rows               upsampling
+    variant   query map          key/value set                upsampling
     cft       x_low              category embedding(f_high)   before
     naive     x_low              LN(f_high) pixels            before
     avgpool   x_low              LN(pool(f_high)) pixels      before
@@ -18,7 +18,7 @@ only differences, one row per variant:
 
 The category embedding compresses f_high into one vector per category
 (a spatial softmax over mask logits, used as mixing weights over
-projected features), so cft's x_low pixels attend to L rows rather
+projected features), so cft's x_low pixels attend to L vectors rather
 than to every coarse pixel. "Upsampling after" runs attention at
 f_high's grid and adds its upsampled output to x_low instead of to the
 queries. Pooled maps shrink to the pyramid-top grid.
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm, linear, softmax)
-from .tensor import Tensor, bmm, gelu, reshape, transpose
+from .tensor import Tensor, bmm, gelu, reshape
 
 
 @dataclass
@@ -153,33 +153,26 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
 # attention
 
 
-def _to_rows(x: Tensor) -> Tensor:
-    """(B, C, H, W) map -> (B, H*W, C) rows, row-major positions."""
-    b, c, h, w = x.shape
-    return transpose(reshape(x, (b, c, h * w)), (0, 2, 1))
-
-
 def _attend(q: Tensor, k: Tensor, v: Tensor, w_o: LinearParams, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of a query map over key/value rows.
+    """Multi-head scaled dot-product attention of a query map over a key/value set.
 
-    `q` is a (B, C, H, W) map; heads own contiguous channel slices, so
-    splitting them is a reshape to (B*heads, C/heads, H*W). `k` and `v`
-    are (B, M, C) rows. Scores are keys x queries with the softmax over
-    the keys, so mixing the values yields a map shaped like `q`.
+    `q` is a (B, C, H, W) map and `k` and `v` are (B, C, M) sets. Heads
+    own contiguous channel slices, so splitting any operand is one
+    reshape to (B*heads, C/heads, positions). Scores are keys x queries,
+    with the keys read transposed and the softmax over the keys, so
+    mixing the values yields a map shaped like `q`.
     """
     b, c, h, w = q.shape
     if c % heads:
         raise ConfigError(f"query width {c} must divide into {heads} heads")
-    if k.shape != v.shape or k.shape[0] != b or k.shape[2] != c:
+    if k.shape != v.shape or k.shape[:2] != (b, c):
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}")
-    m, dh = k.shape[1], c // heads
+    m, dh = k.shape[2], c // heads
     qh = reshape(q, (b * heads, dh, h * w))
-    kh = reshape(transpose(reshape(k, (b, m, heads, dh)), (0, 2, 1, 3)),
-                 (b * heads, m, dh))
-    vh = reshape(transpose(reshape(v, (b, m, heads, dh)), (0, 2, 3, 1)),
-                 (b * heads, dh, m))
-    weights = softmax(bmm(kh, qh) * (1.0 / math.sqrt(dh)), axis=1)
+    kh = reshape(k, (b * heads, dh, m))
+    vh = reshape(v, (b * heads, dh, m))
+    weights = softmax(bmm(kh, qh, transpose_a=True) * (1.0 / math.sqrt(dh)), axis=1)
     ctx = reshape(bmm(vh, weights), (b, c, h, w))
     return conv1x1(ctx, w_o.w, w_o.b)
 
@@ -195,10 +188,10 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams
     The normalized map is projected twice: a mask head scores every
     position per category and a feature head re-mixes channels. A
     softmax over positions turns each category's scores into weights
-    that average the projected features, so each embedding row is a
+    that average the projected features, so each embedding vector is a
     convex combination of projected-feature columns. Returns the
-    (B, L, C) embedding and the raw (B, L, H, W) mask logits, which the
-    mask loss supervises.
+    (B, C, L) embedding, a key/value set of L vectors, and the raw
+    (B, L, H, W) mask logits, which the mask loss supervises.
     """
     if params.phi_mask is None or params.phi_feat is None:
         raise ConfigError("this parameter set was built without category heads")
@@ -209,7 +202,7 @@ def category_feature_embedding(f_high: Tensor, params: CftBlockParams
     mask_logits = conv1x1(normed, params.phi_mask.w, params.phi_mask.b)
     feats = conv1x1(normed, params.phi_feat.w, params.phi_feat.b)
     weights = softmax(reshape(mask_logits, (b, mask_logits.shape[1], h * w)), axis=2)
-    return bmm(weights, _to_rows(feats)), mask_logits
+    return bmm(reshape(feats, (b, c, h * w)), weights, transpose_b=True), mask_logits
 
 
 def _ffn(x: Tensor, params: CftBlockParams) -> Tensor:
@@ -233,7 +226,7 @@ class _Wiring:
     """Where one variant draws its queries and keys/values from.
 
     `query(f_high, x_low)` is the query map. `kv(f_high, x_low, query
-    map)` is the map whose normalized pixels become key/value rows,
+    map)` is the map whose normalized pixels form the key/value set,
     pooled first when `pool` is set; `kv=None` takes the category
     embedding of f_high instead.
     """
@@ -274,18 +267,19 @@ def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
     query_map = wiring.query(f_high, x_low)
     mask_logits = None
     if wiring.kv is None:
-        kv_rows, mask_logits = category_feature_embedding(f_high, params)
+        kv_set, mask_logits = category_feature_embedding(f_high, params)
     else:
         source = wiring.kv(f_high, x_low, query_map)
         if wiring.pool:
             source = adaptive_avg_pool(source, *kv_pool_hw)
-        kv_rows = _to_rows(layer_norm(source, params.norm_embed.gamma,
-                                      params.norm_embed.beta))
+        b, c, h, w = source.shape
+        kv_set = reshape(layer_norm(source, params.norm_embed.gamma,
+                                    params.norm_embed.beta), (b, c, h * w))
     queries = conv1x1(layer_norm(query_map, params.norm_query.gamma,
                                  params.norm_query.beta),
                       params.w_q.w, params.w_q.b)
-    attended = _attend(queries, linear(kv_rows, params.w_k.w, params.w_k.b),
-                       linear(kv_rows, params.w_v.w, params.w_v.b),
+    attended = _attend(queries, linear(kv_set, params.w_k.w, params.w_k.b),
+                       linear(kv_set, params.w_v.w, params.w_v.b),
                        params.w_o, params.heads)
     if wiring.upsample_after:
         attended = _up(attended, x_low) + x_low

@@ -84,7 +84,7 @@ def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
         embed = 0
     ch = c * ratio
     ffn = n_lo * c * ch + n_lo * ch * 9 + n_lo * ch * c
-    # q and output projections on the query rows, k and v on the key rows
+    # q and output projections at the query positions, k and v at the keys
     proj = 2 * n_q * c * c + 2 * n_k * c * c
     return embed + proj + attention_flops(n_q, n_k, c) + ffn
 

@@ -1,9 +1,9 @@
 """Neural-net ops on top of the tensor engine.
 
-Feature maps are B x C x H x W throughout; token matrices put channels
-last. Interpolation and pooling are expressed as fixed row/column
-mixing matrices, which keeps both directions of each op a pair of
-matmuls and makes the same-size case an exact identity.
+Feature maps are B x C x H x W and key/value sets B x C x M: channels
+come first throughout. Interpolation and pooling are expressed as fixed
+row/column mixing matrices, which keeps both directions of each op a
+pair of matmuls and makes the same-size case an exact identity.
 """
 
 from __future__ import annotations
@@ -22,52 +22,42 @@ __all__ = [
 ]
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the trailing axis: y[..., o] = sum_c x[..., c] w[o, c] + b[o]."""
-    if w.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-d (out, in), got {w.shape}")
-    if x.ndim < 2 or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    out_dim, in_dim = w.shape
-    if bias.shape != (out_dim,):
-        raise ShapeError(f"linear bias must have shape ({out_dim},), got {bias.shape}")
-    xd, wd = x.data, w.data
-    y = xd @ wd.T
-    y += bias.data
+def _channel_mix(x: Tensor, w: Tensor, bias: Tensor, op: str) -> Tensor:
+    """y[:, o, ...] = sum_c w[o, c] x[:, c, ...] + b[o] over a (B, C, ...) array."""
+    if w.ndim != 2 or w.shape[1] != x.shape[1]:
+        raise ShapeError(f"{op}: weight {w.shape} does not match input {x.shape}")
+    b_, c_in = x.shape[:2]
+    c_out = w.shape[0]
+    if bias.shape != (c_out,):
+        raise ShapeError(f"{op} bias must have shape ({c_out},), got {bias.shape}")
+    xd = x.data.reshape(b_, c_in, -1)
+    y = np.matmul(w.data, xd)
+    y += bias.data[:, None]
 
     def bwd(g):
-        gx = g @ wd if x.requires_grad else None
-        gw = g.reshape(-1, out_dim).T @ xd.reshape(-1, in_dim) if w.requires_grad else None
-        gb = g.reshape(-1, out_dim).sum(axis=0) if bias.requires_grad else None
+        g3 = g.reshape(b_, c_out, -1)
+        gx = np.matmul(w.data.T, g3).reshape(x.shape) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(g3, xd.transpose(0, 2, 1)).sum(axis=0)
+        gb = g3.sum(axis=(0, 2)) if bias.requires_grad else None
         return gx, gw, gb
 
-    return Tensor._result(y, (x, w, bias), "linear", bwd)
+    return Tensor._result(y.reshape((b_, c_out) + x.shape[2:]), (x, w, bias), op, bwd)
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Channel mix of a B x C x M set (the key/value projection): w @ x + b."""
+    if x.ndim != 3:
+        raise ShapeError(f"linear expects a 3-d set, got {x.shape}")
+    return _channel_mix(x, w, bias, "linear")
 
 
 def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Pointwise convolution: a per-position channel mix of a B x C x H x W map."""
     if x.ndim != 4:
         raise ShapeError(f"conv1x1 expects a 4-d map, got {x.shape}")
-    if w.ndim != 2 or w.shape[1] != x.shape[1]:
-        raise ShapeError(f"conv1x1: weight {w.shape} does not match input {x.shape}")
-    b_, c_in, h_, w_ = x.shape
-    c_out = w.shape[0]
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv1x1 bias must have shape ({c_out},), got {bias.shape}")
-    xd = x.data.reshape(b_, c_in, h_ * w_)
-    y = np.matmul(w.data, xd).reshape(b_, c_out, h_, w_)
-    y += bias.data[None, :, None, None]
-
-    def bwd(g):
-        g3 = g.reshape(b_, c_out, h_ * w_)
-        gx = np.matmul(w.data.T, g3).reshape(x.shape) if x.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            gw = np.matmul(g3, xd.transpose(0, 2, 1)).sum(axis=0)
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-        return gx, gw, gb
-
-    return Tensor._result(y, (x, w, bias), "conv1x1", bwd)
+    return _channel_mix(x, w, bias, "conv1x1")
 
 
 # Elements per block of whole (image, channel) planes in depthwise_conv3x3:

@@ -20,23 +20,23 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4,
     """Central-difference gradient of a scalar-valued function at x.
 
     Evaluates f twice per probed coordinate with the coordinate displaced
-    by +/- h, temporarily rewriting x's storage and restoring it exactly.
-    `coords` lists the flat indices to probe (all by default); entries
-    left unprobed are zero.
+    by +/- h, temporarily rewriting x's storage and restoring it exactly,
+    also when f raises. `coords` lists the flat indices, in C order, to
+    probe (all by default); entries left unprobed are zero.
     """
-    original = x.data.copy()
-    flat = x.data.reshape(-1)
-    grad = np.zeros_like(flat)
+    flat = x.data.flat  # writes through to x's storage whatever its layout
+    grad = np.zeros(x.size)
     with no_grad():
-        for j in range(flat.size) if coords is None else coords:
+        for j in range(x.size) if coords is None else coords:
             saved = flat[j]
-            flat[j] = saved + h
-            up = f(x).item()
-            flat[j] = saved - h
-            down = f(x).item()
-            flat[j] = saved
+            try:
+                flat[j] = saved + h
+                up = f(x).item()
+                flat[j] = saved - h
+                down = f(x).item()
+            finally:
+                flat[j] = saved
             grad[j] = (up - down) / (2.0 * h)
-    x.data[...] = original
     return grad.reshape(x.shape)
 
 

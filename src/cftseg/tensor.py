@@ -197,16 +197,25 @@ def sigmoid_parts(x: Array) -> tuple[Array, Array, Array]:
 # matrix products
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over a shared leading axis: (G,m,k) @ (G,k,n)."""
+def bmm(a: Tensor, b: Tensor, transpose_a: bool = False,
+        transpose_b: bool = False) -> Tensor:
+    """Batched matmul over a shared leading axis: (G,m,k) @ (G,k,n).
+
+    `transpose_a` takes `a` as stored (G,k,m) and `transpose_b` takes `b`
+    as stored (G,n,k); matmul reads the transposed views without a copy,
+    and each gradient comes back in its operand's stored layout.
+    """
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeError(f"bmm expects 3-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+    ad = a.data.transpose(0, 2, 1) if transpose_a else a.data
+    bd = b.data.transpose(0, 2, 1) if transpose_b else b.data
+    if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+        raise ShapeError(f"bmm: incompatible shapes {ad.shape} @ {bd.shape}")
 
     def bwd(g):
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+        ga = bd @ g.transpose(0, 2, 1) if transpose_a else g @ bd.transpose(0, 2, 1)
+        gb = g.transpose(0, 2, 1) @ ad if transpose_b else ad.transpose(0, 2, 1) @ g
+        return ga, gb
 
     return Tensor._result(ad @ bd, (a, b), "bmm", bwd)
 
@@ -221,17 +230,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.shape
     return Tensor._result(a.data.reshape(shape), (a,), "reshape",
                           lambda g: (g.reshape(old),))
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation of {a.ndim} dims")
-    inv = tuple(np.argsort(axes))
-    return Tensor._result(a.data.transpose(axes), (a,), "transpose",
-                          lambda g: (g.transpose(inv),))
 
 
 def columns(a: Tensor, start: int, stop: int) -> Tensor:

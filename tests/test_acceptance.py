@@ -72,9 +72,9 @@ def test_convex_hull():
         flat = projected.reshape(2, 8, -1)
         lo = flat.min(axis=2) - 1e-12
         hi = flat.max(axis=2) + 1e-12
-        rows = emb.data
-        ok = ok and bool(np.all(rows >= lo[:, None, :]) and
-                         np.all(rows <= hi[:, None, :]))
+        vectors = emb.data
+        ok = ok and bool(np.all(vectors >= lo[:, :, None]) and
+                         np.all(vectors <= hi[:, :, None]))
     check("convex-hull", ok, "100 trials, per-channel min/max bounds")
 
 

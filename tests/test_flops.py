@@ -96,15 +96,17 @@ def _executed_flops(model: SegModel, size: int) -> int:
     images = Tensor(np.random.default_rng(0).standard_normal((1, 3, size, size)))
     logits, _ = model(images)
     total = 0
-    for rec in (t.op for t in trace(logits)):
-        x = rec.inputs[0]
+    for t in trace(logits):
+        rec, x = t.op, t.op.inputs[0]
         if rec.op in ("conv1x1", "linear"):
             total += x.size * rec.inputs[1].shape[0]
         elif rec.op == "depthwise_conv3x3":
             total += x.size * 9
         elif rec.op == "bmm":
-            g, m, k = x.shape
-            total += g * m * k * rec.inputs[1].shape[2]
+            # output size x contracted length; a flagged operand is stored
+            # transposed, but `a` always holds G * m * k values
+            g, m, _ = t.shape
+            total += t.size * (x.size // (g * m))
     return total
 
 

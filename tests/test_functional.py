@@ -213,10 +213,10 @@ def test_depthwise_backward_matches_loop_oracle(shape, block, monkeypatch):
 def test_depthwise_on_a_transposed_view_matches_loop_oracles(monkeypatch):
     monkeypatch.setattr(F, "_DW_BLOCK", 60)  # 2 planes of 5x6 per block
     rng = np.random.default_rng(8)
-    base = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+    # Tensor keeps the stride order of what it copies, so x is stored transposed
+    x = Tensor(rng.standard_normal((2, 3, 6, 5)).transpose(0, 1, 3, 2), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    x = T.transpose(base, (0, 1, 3, 2))
     assert not x.data.flags.c_contiguous
     g = rng.standard_normal(x.shape)
     y = F.depthwise_conv3x3(x, w, b)
@@ -224,7 +224,7 @@ def test_depthwise_on_a_transposed_view_matches_loop_oracles(monkeypatch):
                                rtol=0, atol=1e-12)
     grads = backward(dot(y, g))
     gx, gw, gb = depthwise_grad_oracle(x.data, w.data, g)
-    np.testing.assert_allclose(grads[base], gx.transpose(0, 1, 3, 2), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads[x], gx, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads[w], gw, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads[b], gb, rtol=0, atol=1e-10)
 
@@ -307,14 +307,18 @@ def test_forward_kernels_never_write_into_their_inputs():
     def param(*s):
         return Tensor(rng.standard_normal(s), requires_grad=True)
 
-    x, x_rows = param(*shape), param(6, 4)
+    x, kv_set = param(*shape), param(2, 4, 3)
     cases = {
         "gelu": (T.gelu, (x,)),
         "layer_norm": (F.layer_norm, (x, param(3), param(3))),
         "softmax": (F.softmax, (x,)),
         "softmax_last": (lambda t: F.softmax(t, axis=-1), (x,)),
         "conv1x1": (F.conv1x1, (x, param(4, 3), param(4))),
-        "linear": (F.linear, (x_rows, param(2, 4), param(2))),
+        "linear": (F.linear, (kv_set, param(2, 4), param(2))),
+        "bmm_transpose_a": (lambda a, b: T.bmm(a, b, transpose_a=True),
+                            (param(3, 4, 2), param(3, 4, 5))),
+        "bmm_transpose_b": (lambda a, b: T.bmm(a, b, transpose_b=True),
+                            (param(3, 2, 4), param(3, 5, 4))),
         "depthwise_conv3x3": (F.depthwise_conv3x3, (x, param(3, 3, 3), param(3))),
         "columns": (lambda w: T.columns(w, 1, 3), (param(2, 4),)),
     }
@@ -334,19 +338,19 @@ def test_forward_kernels_never_write_into_their_inputs():
 
 def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((3, 5, 6))
+    x = rng.standard_normal((3, 6, 5))
     w = rng.standard_normal((4, 6))
     b = rng.standard_normal(4)
     got = F.linear(Tensor(x), Tensor(w), Tensor(b)).data
-    np.testing.assert_allclose(got, x @ w.T + b, atol=1e-12)
+    np.testing.assert_allclose(got, w @ x + b[:, None], atol=1e-12)
 
 
 def test_linear_gradients():
     rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal(5), requires_grad=True)
-    proj = Tensor(rng.standard_normal((2, 3, 5)))
+    proj = Tensor(rng.standard_normal((2, 5, 3)))
 
     def loss_fn(_=None):
         return dot(F.linear(x, w, b), proj)
@@ -354,6 +358,25 @@ def test_linear_gradients():
     grads = backward(loss_fn())
     for p in (x, w, b):
         np.testing.assert_allclose(grads[p], finite_diff_grad(loss_fn, p), atol=1e-8)
+
+
+def test_linear_of_a_set_equals_conv1x1_of_its_map_exactly():
+    # one channel mix under both names: the (B, C, M) set of a map's pixels
+    # projects to the same bits as the map itself
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 6, 3, 4))
+    w, b = Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal(5))
+    via_set = F.linear(Tensor(x.reshape(2, 6, 12)), w, b).data
+    np.testing.assert_array_equal(via_set, F.conv1x1(Tensor(x), w, b).data.reshape(2, 5, 12))
+
+
+def test_linear_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        F.linear(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        F.linear(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 4))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        F.linear(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
 
 
 # --------------------------------------------------------------------------

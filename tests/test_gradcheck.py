@@ -1,6 +1,7 @@
 """The finite-difference oracle itself, plus a deliberately broken rule."""
 
 import numpy as np
+import pytest
 
 from cftseg import Tensor, backward, finite_diff_grad, max_rel_error
 from cftseg.gradcheck import check_gradients
@@ -30,6 +31,30 @@ def test_perturbation_is_restored_exactly():
     np.testing.assert_array_equal(x.data, before)
 
 
+def test_gradient_on_non_c_ordered_storage():
+    # Tensor keeps an F-ordered array's layout; the probes must still reach it
+    x = Tensor(np.arange(12.0).reshape(3, 4).T)
+    assert not x.data.flags.c_contiguous
+    w = np.random.default_rng(3).standard_normal(x.shape)
+    np.testing.assert_allclose(finite_diff_grad(lambda t: dot(t, w), x), w, atol=1e-9)
+
+
+def test_input_is_restored_when_f_raises():
+    x = Tensor(np.array([0.1, -0.7, 2.3]))
+    before = x.data.copy()
+    calls = []
+
+    def f(t):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("fails partway")
+        return dot(t)
+
+    with pytest.raises(RuntimeError, match="partway"):
+        finite_diff_grad(f, x)
+    np.testing.assert_array_equal(x.data, before)
+
+
 def test_check_gradients_reports_per_group():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
@@ -37,10 +62,10 @@ def test_check_gradients_reports_per_group():
     x = Tensor(rng.standard_normal((6, 4)))
 
     def loss_fn():
-        zero = Tensor(np.zeros(4))
-        h = F.linear(x, T.transpose(w), zero)
-        rows = [T.reshape(F.linear(Tensor(np.eye(6)[i:i + 1]), T.transpose(h), zero),
-                          (4,)) + b
+        # x @ w as a (1, 4, 6) set, with w read transposed; column i of the
+        # set is row i of x @ w
+        h = T.bmm(T.reshape(w, (1, 4, 4)), Tensor(x.data.T[None]), transpose_a=True)
+        rows = [T.reshape(T.bmm(h, Tensor(np.eye(6)[None, :, i:i + 1])), (4,)) + b
                 for i in range(6)]
         return dot(T.gelu(T.concat(rows, axis=0)))
 
@@ -58,7 +83,7 @@ def test_linear_only_model_is_exact_to_1e10():
     proj = Tensor(rng.standard_normal((5,)))
 
     def loss_fn():
-        y = F.linear(T.reshape(x, (1, 5)), w, Tensor(np.zeros(5)))
+        y = F.linear(T.reshape(x, (1, 5, 1)), w, Tensor(np.zeros(5)))
         return dot(T.reshape(y, (5,)), proj)
 
     grads = backward(loss_fn())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cftseg import Tensor, backward, no_grad
+from cftseg import Tensor, backward, finite_diff_grad, no_grad
 from cftseg.errors import ShapeError
 from cftseg import tensor as T
 import cftseg.functional as F
@@ -69,6 +69,45 @@ def test_bmm_matches_per_slice_matmul():
         np.testing.assert_allclose(got[g], a[g] @ b[g], atol=1e-12)
 
 
+# (G, m, k, n) of a (G, m, k) @ (G, k, n) product. Scores are (M, dh) @
+# (dh, HW) and values (dh, M) @ (M, HW), so m = 1 and k = 1 each stand for a
+# single key in one product and dh = 1 in the other; n = 1 is one query
+BMM_SHAPES = [(4, 3, 5, 2), (2, 1, 3, 4), (2, 3, 1, 4), (3, 4, 2, 1)]
+
+
+@pytest.mark.parametrize("transpose_a", [False, True])
+@pytest.mark.parametrize("transpose_b", [False, True])
+@pytest.mark.parametrize("dims", BMM_SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_bmm_flags_match_numpy_and_finite_differences(dims, transpose_a, transpose_b):
+    g, m, k, n = dims
+    rng = np.random.default_rng(sum(dims))
+    # each operand is stored as its flag says and read transposed by bmm
+    a = Tensor(rng.standard_normal((g, k, m) if transpose_a else (g, m, k)), requires_grad=True)
+    b = Tensor(rng.standard_normal((g, n, k) if transpose_b else (g, k, n)), requires_grad=True)
+    am = a.data.transpose(0, 2, 1) if transpose_a else a.data
+    bm = b.data.transpose(0, 2, 1) if transpose_b else b.data
+    y = T.bmm(a, b, transpose_a=transpose_a, transpose_b=transpose_b)
+    np.testing.assert_array_equal(y.data, np.matmul(am, bm))
+    proj = rng.standard_normal((g, m, n))
+
+    def loss_fn(_=None):
+        return dot(T.bmm(a, b, transpose_a=transpose_a, transpose_b=transpose_b), proj)
+
+    grads = backward(loss_fn())
+    for t in (a, b):
+        assert grads[t].shape == t.shape
+        np.testing.assert_allclose(grads[t], finite_diff_grad(loss_fn, t), rtol=0, atol=1e-9)
+
+
+def test_bmm_flags_check_the_read_shapes():
+    a, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5)))
+    with pytest.raises(ShapeError):
+        T.bmm(a, b)
+    assert T.bmm(a, b, transpose_a=True).shape == (2, 4, 5)
+    with pytest.raises(ShapeError):
+        T.bmm(a, b, transpose_b=True)
+
+
 def test_concat_backward_splits_gradient():
     rng = np.random.default_rng(10)
     parts = [Tensor(rng.standard_normal((2, k, 3)), requires_grad=True) for k in (1, 2, 4)]
@@ -81,15 +120,9 @@ def test_concat_backward_splits_gradient():
         np.testing.assert_array_equal(grads[part], w[:, cols])
 
 
-def test_transpose_reshape_backward():
+def test_reshape_backward():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    w = rng.standard_normal((4, 3, 2))
-    y = T.transpose(x, (2, 1, 0))
-    loss = dot(y, w)
-    grads = backward(loss)
-    np.testing.assert_array_equal(grads[x], w.transpose(2, 1, 0))
-
     z = T.reshape(x, (6, 4))
     grads = backward(dot(z))
     np.testing.assert_array_equal(grads[x], np.ones((2, 3, 4)))
@@ -142,7 +175,7 @@ def test_replay_same_graph_is_bit_identical():
     w = rng.standard_normal((5, 5))
 
     def run():
-        x = Tensor(data, requires_grad=True)
+        x = Tensor(data.T[None], requires_grad=True)
         y = T.gelu(F.linear(x, Tensor(w.T), Tensor(np.zeros(5))))
         loss = dot(y, y) * (1.0 / y.size)
         return loss.item(), backward(loss)[x]
