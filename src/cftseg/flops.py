@@ -7,12 +7,15 @@ activations count zero.
 
 Nothing here restates the model: a fusion step's count is read off its
 row of the wiring table in `blocks`, and parameter counts are the sizes
-of the built model's `named_parameters()`, grouped by module prefix.
+of `named_parameters()`, grouped by module prefix, of a model built with
+zeros in place of random draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 from .blocks import _WIRINGS, _Wiring
@@ -63,6 +66,16 @@ class FlopsReport:
                 "aggregation_flops": self.aggregation_flops}
 
 
+class _ZeroDraws:
+    """Stands in for the Generator that initializes a `SegModel` when only
+    its parameter shapes are read: drawing the weights would cost more
+    than the whole count."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def _stage_hw(input_hw: tuple[int, int]) -> list[tuple[int, int]]:
     h, w = input_hw
     if h % 32 or w % 32 or h <= 0 or w <= 0:
@@ -92,7 +105,7 @@ def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
 def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
                 variant: str = "cft", batch: int = 1) -> FlopsReport:
     """Per-module FLOPs/params for a model config and variant at the given input."""
-    model = SegModel(config, variant)
+    model = SegModel(config, variant, rng=_ZeroDraws())
     if batch < 1:
         raise ConfigError("batch must be at least 1")
 

@@ -30,13 +30,33 @@ class ConfusionMatrix:
             raise ValueError("prediction indices out of range")
         if true.size and (true.min() < 0 or true.max() >= self.num_categories):
             raise ValueError("target indices out of range")
-        joint = true * self.num_categories + pred
+        # widened first: with uint8 labels `true * L` would wrap from L = 17 on
+        joint = true.astype(np.int64) * self.num_categories + pred
         binned = np.bincount(joint, minlength=self.num_categories ** 2)
         self.counts += binned.reshape(self.num_categories, self.num_categories)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+
+def argmax_channels(scores: np.ndarray) -> np.ndarray:
+    """`np.argmax(scores, axis=1)` of a (B, L, ...) array, lowest index on
+    ties, from a running max over the L channels.
+
+    np.argmax would first copy the whole array to bring axis 1 last; the
+    running max holds two arrays of one channel's size. Raises ValueError
+    when any score is NaN, which np.maximum carries into the running max.
+    """
+    best = scores[:, 0].copy()
+    index = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, scores.shape[1]):
+        channel = scores[:, c]
+        index[channel > best] = c
+        np.maximum(best, channel, out=best)
+    if np.isnan(best).any():
+        raise ValueError("scores contain NaN")
+    return index
 
 
 def pixel_accuracy(cm: ConfusionMatrix) -> float:

@@ -21,12 +21,20 @@ from .flops import count_flops
 from .gradcheck import GradCheckRow, check_gradients
 from .losses import (IGNORE_INDEX, cross_entropy, dice_loss, downsample_labels,
                      focal_loss, total_loss)
-from .metrics import ConfusionMatrix, miou, pixel_accuracy
+from .metrics import ConfusionMatrix, argmax_channels, miou, pixel_accuracy
 from .model import SegModel
 from .optim import AdamW, poly_lr
 from .tensor import Tensor, backward, no_grad
 
 LOG_HEADER = ("iteration", "ce", "dice", "focal", "total", "lr")
+
+# Image pixels per no_grad forward in `evaluate`: 8 images at 64 px, 2 at
+# 128 px, 1 at 256 px. Several 256 px images per forward make FFN hidden
+# maps and logits of 32 MiB and more, which glibc maps and page-faults
+# afresh on every forward; fewer than 8 images at 64 px pay more per-op
+# overhead per image. Swept over 8192, 16384 and 32768 on the bench's eval
+# sizes (BENCH_eval_chunks.json).
+_EVAL_PIXELS = 128 * 256
 
 
 @dataclass(frozen=True)
@@ -177,14 +185,16 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
 
 def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
     """Single-scale inference metrics over a dataset, from one no_grad
-    forward per batch of 8 images.
+    forward per `_EVAL_PIXELS` image pixels (at least one image each).
 
     The logits give mIoU, pixel accuracy and per-category IoU. The stage
     masks give `mask_agreement`: the fraction of mask argmax pixels, all
     stages pooled, that match the nearest-downsampled labels, over pixels
     not labelled 255; None when no mask pixel is scored, as for variants
-    without masks. Raises ValueError when no pixel is scored at all and
-    ConfigError when the dataset has another category count than the model.
+    without masks. An image's outputs do not depend on the images it is
+    forwarded with, so neither does the report. Raises ValueError when no
+    pixel is scored at all or the model outputs NaN, and ConfigError when
+    the dataset has another category count than the model.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -196,17 +206,19 @@ def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
     _check_category_count(dataset, model.config.num_categories)
     cm = ConfusionMatrix(dataset.num_categories)
     matched = scored = 0
-    for lo in range(0, len(dataset), 8):
-        chunk = slice(lo, lo + 8)
+    height, width = dataset.images.shape[2:]
+    step = max(1, _EVAL_PIXELS // (height * width))
+    for lo in range(0, len(dataset), step):
+        chunk = slice(lo, lo + step)
         labels = dataset.labels[chunk]
         with no_grad():
             logits, masks = model(Tensor(dataset.images[chunk]))
         for mask in masks:
             target = downsample_labels(labels, *mask.shape[2:])
             kept = target != IGNORE_INDEX
-            matched += int((np.argmax(mask.data, axis=1) == target)[kept].sum())
+            matched += int((argmax_channels(mask.data) == target)[kept].sum())
             scored += int(kept.sum())
-        cm.update(np.argmax(logits.data, axis=1), labels)
+        cm.update(argmax_channels(logits.data), labels)
     per_category, mean = miou(cm)
     return {"miou": mean,
             "pixel_accuracy": pixel_accuracy(cm),

@@ -11,6 +11,7 @@ from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
 from cftseg.data import load_dataset
 from cftseg.model import SegModel
+from cftseg.train import _EVAL_PIXELS
 
 TINY = """\
 # desk-size run
@@ -252,9 +253,10 @@ def test_eval_on_non_finite_images_is_json_error(tiny_cfg, tmp_path, capsys):
         assert "non-finite" in payload["message"]
 
 
-def test_eval_runs_one_forward_per_batch_of_eight(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "nine.cfg"
-    cfg.write_text(TINY.replace("n_images = 2", "n_images = 9"))
+def test_eval_sizes_its_forwards_by_pixel_count(tmp_path, monkeypatch, capsys):
+    per_forward = _EVAL_PIXELS // (32 * 32)
+    cfg = tmp_path / "more.cfg"
+    cfg.write_text(TINY.replace("n_images = 2", f"n_images = {per_forward + 1}"))
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
     batches = []
@@ -267,8 +269,21 @@ def test_eval_runs_one_forward_per_batch_of_eight(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(SegModel, "forward", counted)
     capsys.readouterr()
     assert main(["eval", str(run / "checkpoint_final.ckpt")]) == 0
-    assert batches == [8, 1]
+    assert batches == [per_forward, 1]
     assert json.loads(capsys.readouterr().out)["mask_agreement"] is not None
+
+
+def test_eval_of_a_nan_checkpoint_is_json_error(tiny_cfg, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
+    ck = load_checkpoint(run / "checkpoint_final.ckpt")
+    ck.arrays["param/decode.cls.b"][0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", ck)
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "nan.ckpt")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "NaN" in payload["message"]
 
 
 def test_missing_checkpoint_is_json_error(tmp_path, capsys):

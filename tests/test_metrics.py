@@ -1,5 +1,7 @@
 """Confusion matrix and IoU checks against hand counts."""
 
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
 
@@ -77,3 +79,36 @@ def test_update_validation():
         cm.update(np.array([5]), np.array([0]))
     with pytest.raises(ValueError):
         MT.miou(MT.ConfusionMatrix(2))
+
+
+def test_uint8_labels_are_counted_where_they_belong():
+    # 19 * 20 overflows uint8: the joint index must be formed in int64
+    labels = np.array([18, 19, 0], dtype=np.uint8)
+    cm = MT.ConfusionMatrix(20)
+    cm.update(labels.astype(np.intp), labels)
+    expected = np.zeros((20, 20), dtype=np.int64)
+    expected[[18, 19, 0], [18, 19, 0]] = 1
+    np.testing.assert_array_equal(cm.counts, expected)
+
+
+# a few distinct values, so ties are common, plus both infinities
+_SCORES = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf])
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, max_side=5),
+                  elements=_SCORES))
+def test_argmax_channels_is_np_argmax(scores):
+    index = MT.argmax_channels(scores)
+    expected = np.argmax(scores, axis=1)
+    assert index.dtype == expected.dtype
+    np.testing.assert_array_equal(index, expected)
+
+
+def test_argmax_channels_refuses_nan_in_any_channel():
+    scores = np.zeros((2, 3, 4, 4))
+    MT.argmax_channels(scores)
+    for c in range(3):
+        bad = scores.copy()
+        bad[1, c, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            MT.argmax_channels(bad)

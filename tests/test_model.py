@@ -220,6 +220,22 @@ def test_no_grad_forward_equals_the_recorded_forward_bit_for_bit(variant):
         assert plain.data.tobytes() == recorded.data.tobytes()
 
 
+@pytest.mark.parametrize("variant", B.VARIANTS + ("none",))
+def test_an_image_gets_the_same_bits_alone_and_in_a_batch(variant):
+    # evaluate sizes its forwards by pixel count; its report may not depend
+    # on which images share a forward
+    model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(7),
+                       zero_residual_paths=False)
+    images = np.random.default_rng(8).standard_normal((3, 3, 64, 64))
+    with T.no_grad():
+        logits, masks = model(Tensor(images))
+        for b in range(len(images)):
+            alone_logits, alone_masks = model(Tensor(images[b:b + 1]))
+            assert len(alone_masks) == len(masks) == (3 if variant == "cft" else 0)
+            for alone, batched in zip([alone_logits, *alone_masks], [logits, *masks]):
+                assert alone.data[0].tobytes() == batched.data[b].tobytes()
+
+
 def test_category_param_surplus_is_exactly_the_phi_heads():
     cfg = small_config()
     full = M.SegModel(cfg, variant="cft", rng=np.random.default_rng(18))

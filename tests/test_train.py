@@ -225,31 +225,40 @@ def test_mask_agreement_none_for_maskless_variants():
 
 
 def test_mask_agreement_scores_only_kept_pixels():
-    # nine images: the counts pool over a full batch of 8 and a batch of 1
-    cfg = tiny_config(n_images=9)
+    # one image more than a forward holds: the counts pool over two forwards
+    per_forward = TR._EVAL_PIXELS // (32 * 32)
+    cfg = tiny_config(n_images=per_forward + 1)
     model = TR.build_model(cfg)
     ds = TR.default_dataset(cfg)
     labels = ds.labels.copy()
     labels[:, :, labels.shape[2] // 2:] = 255
     with no_grad():
-        masks = [model(Tensor(ds.images[lo:lo + 8]))[1] for lo in (0, 8)]
+        masks = [model(Tensor(ds.images[b:b + 1]))[1] for b in range(len(ds))]
     matched = scored = 0
     n, size, _ = labels.shape
     for b in range(n):
-        for mask in masks[b // 8]:
+        for mask in masks[b]:
             h, w = mask.shape[2:]
             for i in range(h):
                 for j in range(w):
                     y = labels[b, int((i + 0.5) * size / h), int((j + 0.5) * size / w)]
                     if y != 255:
                         scored += 1
-                        matched += int(np.argmax(mask.data[b % 8, :, i, j]) == y)
+                        matched += int(np.argmax(mask.data[0, :, i, j]) == y)
     half = Dataset(ds.images, labels, ds.num_categories)
     assert TR.evaluate(model, half)["mask_agreement"] == matched / scored
     # with no pixel left to score, the pixel metrics refuse the dataset
     void = Dataset(ds.images, np.full_like(labels, 255), ds.num_categories)
     with pytest.raises(ValueError, match="empty confusion matrix"):
         TR.evaluate(model, void)
+
+
+def test_evaluate_refuses_nan_logits():
+    cfg = tiny_config()
+    model = TR.build_model(cfg)
+    model.classifier.b.data[1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        TR.evaluate(model, TR.default_dataset(cfg))
 
 
 def test_run_ablation_rows_and_determinism(tmp_path):
