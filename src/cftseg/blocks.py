@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
+from .functional import (adaptive_avg_pool, attention, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm, linear, softmax)
 from .tensor import Tensor, bmm, gelu, reshape
 
@@ -154,27 +154,9 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, w_o: LinearParams, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of a query map over a key/value set.
-
-    `q` is a (B, C, H, W) map and `k` and `v` are (B, C, M) sets. Heads
-    own contiguous channel slices, so splitting any operand is one
-    reshape to (B*heads, C/heads, positions). Scores are keys x queries,
-    with the keys read transposed and the softmax over the keys, so
-    mixing the values yields a map shaped like `q`.
-    """
-    b, c, h, w = q.shape
-    if c % heads:
-        raise ConfigError(f"query width {c} must divide into {heads} heads")
-    if k.shape != v.shape or k.shape[:2] != (b, c):
-        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}")
-    m, dh = k.shape[2], c // heads
-    qh = reshape(q, (b * heads, dh, h * w))
-    kh = reshape(k, (b * heads, dh, m))
-    vh = reshape(v, (b * heads, dh, m))
-    weights = softmax(bmm(kh, qh, transpose_a=True) * (1.0 / math.sqrt(dh)), axis=1)
-    ctx = reshape(bmm(vh, weights), (b, c, h, w))
-    return conv1x1(ctx, w_o.w, w_o.b)
+    """Multi-head attention of a (B, C, H, W) query map over (B, C, M) key
+    and value sets, then the output projection."""
+    return conv1x1(attention(q, k, v, heads), w_o.w, w_o.b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ pair of matmuls and makes the same-size case an exact identity.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Array, Tensor
 
 __all__ = [
-    "linear", "conv1x1", "depthwise_conv3x3", "softmax",
+    "linear", "conv1x1", "depthwise_conv3x3", "softmax", "attention",
     "layer_norm", "bilinear_resize", "adaptive_avg_pool",
 ]
 
@@ -167,9 +168,64 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        # y (g - sum(g y)) in one buffer, with the bits of that expression
+        gx = np.multiply(g, y)
+        r = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, r, out=gx)
+        gx *= y
+        return (gx,)
 
     return Tensor._result(y, (x,), "softmax", bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of a query map over a key/value set.
+
+    `q` is a (B, C, H, W) map and `k` and `v` are (B, C, M) sets; the
+    result is the (B, C, H, W) context map, before any output projection.
+    Heads own contiguous channel slices, so each operand splits into
+    (B*heads, C/heads, positions) with one reshape. The (B*heads, M, H*W)
+    scores, keys x queries with the softmax over the keys, live in one
+    buffer that becomes the attention weights in place, kept for the
+    backward only when recording; the backward never forms the weights'
+    own gradient.
+    """
+    if q.ndim != 4 or k.ndim != 3:
+        raise ShapeError(f"attention takes a 4-d query map and 3-d key/value sets, "
+                         f"got q {q.shape}, k {k.shape}")
+    b, c, h, w = q.shape
+    if c % heads:
+        raise ConfigError(f"query width {c} must divide into {heads} heads")
+    if k.shape != v.shape or k.shape[:2] != (b, c):
+        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}")
+    groups, dh, m, n = b * heads, c // heads, k.shape[2], h * w
+    qh = q.data.reshape(groups, dh, n)
+    kh = k.data.reshape(groups, dh, m)
+    vh = v.data.reshape(groups, dh, m)
+    scale = 1.0 / math.sqrt(dh)
+    weights = np.matmul(kh.transpose(0, 2, 1), qh)
+    weights *= scale
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    ctx = np.matmul(vh, weights)
+
+    def bwd(grad):
+        g = grad.reshape(groups, dh, n)
+        # the score gradient weights * (vh^T g - r) * scale, with r the
+        # per-query sum over keys of weights * vh^T g, which equals the
+        # sum over channels of g * ctx (FlashAttention's identity)
+        r = (g * ctx).sum(axis=1, keepdims=True)
+        gs = np.matmul(vh.transpose(0, 2, 1), g)
+        gs -= r
+        gs *= weights
+        gs *= scale
+        return (np.matmul(kh, gs).reshape(q.shape),
+                np.matmul(qh, gs.transpose(0, 2, 1)).reshape(k.shape),
+                np.matmul(g, weights.transpose(0, 2, 1)).reshape(v.shape))
+
+    return Tensor._result(ctx.reshape(q.shape), (q, k, v), "attention", bwd)
 
 
 # added to the channel variance in layer_norm
@@ -195,12 +251,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y += bd
 
     def bwd(g):
-        gx = None
+        gx = gg = None
+        tmp = np.empty_like(xhat) if x.requires_grad or gamma.requires_grad else None
         if x.requires_grad:
-            gxh = g * gd
-            gx = inv * (gxh - gxh.mean(axis=1, keepdims=True)
-                        - xhat * (gxh * xhat).mean(axis=1, keepdims=True))
-        gg = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+            # inv (gxh - mean(gxh) - xhat mean(gxh xhat)) with gxh = g gamma,
+            # in the order of that expression but in two buffers
+            gx = np.multiply(g, gd)
+            np.multiply(gx, xhat, out=tmp)
+            m2 = tmp.mean(axis=1, keepdims=True)
+            gx -= gx.mean(axis=1, keepdims=True)
+            np.multiply(xhat, m2, out=tmp)
+            gx -= tmp
+            gx *= inv
+        if gamma.requires_grad:
+            gg = np.multiply(g, xhat, out=tmp).sum(axis=(0, 2, 3))
         gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
         return gx, gg, gb
 

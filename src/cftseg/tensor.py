@@ -197,23 +197,21 @@ def sigmoid_parts(x: Array) -> tuple[Array, Array, Array]:
 # matrix products
 
 
-def bmm(a: Tensor, b: Tensor, transpose_a: bool = False,
-        transpose_b: bool = False) -> Tensor:
+def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """Batched matmul over a shared leading axis: (G,m,k) @ (G,k,n).
 
-    `transpose_a` takes `a` as stored (G,k,m) and `transpose_b` takes `b`
-    as stored (G,n,k); matmul reads the transposed views without a copy,
-    and each gradient comes back in its operand's stored layout.
+    `transpose_b` takes `b` as stored (G,n,k); matmul reads the transposed
+    view without a copy, and `b`'s gradient comes back in its stored layout.
     """
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeError(f"bmm expects 3-d operands, got {a.shape} @ {b.shape}")
-    ad = a.data.transpose(0, 2, 1) if transpose_a else a.data
+    ad = a.data
     bd = b.data.transpose(0, 2, 1) if transpose_b else b.data
     if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
         raise ShapeError(f"bmm: incompatible shapes {ad.shape} @ {bd.shape}")
 
     def bwd(g):
-        ga = bd @ g.transpose(0, 2, 1) if transpose_a else g @ bd.transpose(0, 2, 1)
+        ga = g @ bd.transpose(0, 2, 1)
         gb = g.transpose(0, 2, 1) @ ad if transpose_b else ad.transpose(0, 2, 1) @ g
         return ga, gb
 
@@ -305,6 +303,10 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = trace(loss)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    # keys whose gradient is a sum this function allocated; only those are
+    # added into, since a rule may return its output gradient, or a view
+    # of it, for an input (add, reshape)
+    owned: set[int] = set()
     for t in reversed(tape):
         g = grads.pop(id(t), None)
         if g is None:
@@ -313,7 +315,13 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
             if gi is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            grads[key] = grads[key] + gi if key in grads else gi
+            if key not in grads:
+                grads[key] = gi
+            elif key in owned:
+                grads[key] += gi
+            else:
+                grads[key] = grads[key] + gi
+                owned.add(key)
     # what is left in `grads` belongs to leaves: recorded tensors were popped
     if leaves is None:
         reached = (loss, *(inp for t in tape for inp in t.op.inputs))

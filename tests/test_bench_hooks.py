@@ -44,6 +44,9 @@ def test_tracer_counts_every_hook(variant):
         tracer.uninstall()
     calls = tracer.calls["check"]
     wanted = [f"model.aggregate.s{k}" for k in (1, 2, 3)]
-    wanted += [f"kernel.{name}" for _, name in probes.KERNELS]
+    # attention is one op of its own; only cft's category embedding still
+    # calls bmm and softmax, so its case pins every hook
+    skipped = () if variant == "cft" else ("bmm", "softmax")
+    wanted += [f"kernel.{name}" for _, name in probes.KERNELS if name not in skipped]
     assert [name for name in wanted if calls[name] < 1] == []
     assert tracer.tape_records["check"] > 0

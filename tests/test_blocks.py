@@ -331,9 +331,9 @@ def test_variant_b_single_pooled_key_broadcasts_one_vector():
 
 @pytest.mark.parametrize("variant", B.VARIANTS)
 def test_pixel_maps_are_never_transposed(variant):
-    # every operand stays channels first: the key/value set (pixel wirings),
-    # the mask logits and features (cft), the query, key and value head
-    # splits and the attention output are the only reshapes, and no record
+    # every operand stays channels first: the key/value set (pixel wirings)
+    # and the mask logits and features (cft) are the only reshapes, the
+    # attention op splits heads inside its one record, and no record
     # permutes axes
     rng = np.random.default_rng(22)
     params = make_params(seed=30, with_category=variant == "cft")
@@ -341,7 +341,7 @@ def test_pixel_maps_are_never_transposed(variant):
     x_low = Tensor(rng.standard_normal((1, 8, 6, 6)), requires_grad=True)
     out, _ = fuse(variant, f_high, x_low, params)
     ops = [t.op.op for t in trace(out)]
-    assert ops.count("reshape") == (6 if variant == "cft" else 5)
+    assert ops.count("reshape") == (2 if variant == "cft" else 1)
     assert "transpose" not in ops
 
 

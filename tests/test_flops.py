@@ -103,10 +103,12 @@ def _executed_flops(model: SegModel, size: int) -> int:
         elif rec.op == "depthwise_conv3x3":
             total += x.size * 9
         elif rec.op == "bmm":
-            # output size x contracted length; a flagged operand is stored
-            # transposed, but `a` always holds G * m * k values
+            # output size x contracted length; `a` holds G * m * k values
             g, m, _ = t.shape
             total += t.size * (x.size // (g * m))
+        elif rec.op == "attention":
+            # scores and value mix: M multiply-adds per query channel each
+            total += 2 * x.size * rec.inputs[1].shape[2]
     return total
 
 

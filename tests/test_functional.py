@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor, backward, finite_diff_grad
-from cftseg.errors import ShapeError
+from cftseg.errors import ConfigError, ShapeError
 import cftseg.functional as F
 import cftseg.tensor as T
 from scalar import dot
@@ -315,12 +315,13 @@ def test_forward_kernels_never_write_into_their_inputs():
         "softmax_last": (lambda t: F.softmax(t, axis=-1), (x,)),
         "conv1x1": (F.conv1x1, (x, param(4, 3), param(4))),
         "linear": (F.linear, (kv_set, param(2, 4), param(2))),
-        "bmm_transpose_a": (lambda a, b: T.bmm(a, b, transpose_a=True),
-                            (param(3, 4, 2), param(3, 4, 5))),
+        "bmm": (T.bmm, (param(3, 2, 4), param(3, 4, 5))),
         "bmm_transpose_b": (lambda a, b: T.bmm(a, b, transpose_b=True),
                             (param(3, 2, 4), param(3, 5, 4))),
         "depthwise_conv3x3": (F.depthwise_conv3x3, (x, param(3, 3, 3), param(3))),
         "columns": (lambda w: T.columns(w, 1, 3), (param(2, 4),)),
+        "attention": (lambda q, k, v: F.attention(q, k, v, 2),
+                      (param(2, 4, 3, 5), param(2, 4, 6), param(2, 4, 6))),
     }
     for name, (fn, inputs) in cases.items():
         _read_only(*inputs)
@@ -427,6 +428,88 @@ def test_finite_diff_matches_softmax_jacobian_row():
     expected = -s[1] * s
     expected[1] = s[1] * (1 - s[1])
     np.testing.assert_allclose(finite_diff_grad(pick, x), expected, atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# attention
+
+# (B, C, H, W, M, heads): a general case, a single key, one channel per head
+# (dh = 1, heads = C), and a single query
+ATTENTION_SHAPES = [(1, 6, 2, 3, 5, 2), (2, 4, 3, 2, 1, 2), (1, 3, 2, 2, 4, 3),
+                    (2, 4, 1, 1, 3, 2)]
+
+
+def _attention_operands(b, c, h, w, m, seed):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.standard_normal((b, c, h, w)), requires_grad=True),
+            Tensor(rng.standard_normal((b, c, m)), requires_grad=True),
+            Tensor(rng.standard_normal((b, c, m)), requires_grad=True))
+
+
+def _composed_attention(q, k, v, heads):
+    """Attention from generic records; the keys enter as a transposed
+    (G, M, dh) layout, which matmul reads as the op reads its own view.
+    Returns the context map and the key leaf, whose gradient is k's
+    transposed."""
+    b, c, h, w = q.shape
+    g, dh, m = b * heads, c // heads, k.shape[2]
+    kt = Tensor(k.data.reshape(g, dh, m).transpose(0, 2, 1), requires_grad=True)
+    scores = T.bmm(kt, T.reshape(q, (g, dh, h * w))) * (1.0 / np.sqrt(dh))
+    ctx = T.bmm(T.reshape(v, (g, dh, m)), F.softmax(scores, axis=1))
+    return T.reshape(ctx, q.shape), kt
+
+
+@pytest.mark.parametrize("dims", ATTENTION_SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_attention_matches_the_composed_records(dims):
+    b, c, h, w, m, heads = dims
+    q, k, v = _attention_operands(b, c, h, w, m, seed=sum(dims))
+    y = F.attention(q, k, v, heads)
+    ref, kt = _composed_attention(q, k, v, heads)
+    assert y.data.tobytes() == ref.data.tobytes()
+    assert [t.op.op for t in T.trace(y)] == ["attention"]
+    proj = np.random.default_rng(1).standard_normal(y.shape)
+    got, want = backward(dot(y, proj)), backward(dot(ref, proj))
+    # the value gradient is the same product; the query and key gradients
+    # reach the score gradient through another, equal, sum
+    assert got[v].tobytes() == want[v].tobytes()
+    want_k = want[kt].transpose(0, 2, 1).reshape(k.shape)
+    for t, ref_g in ((q, want[q]), (k, want_k)):
+        np.testing.assert_allclose(got[t], ref_g, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", ATTENTION_SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_attention_gradients_match_finite_differences(dims):
+    b, c, h, w, m, heads = dims
+    q, k, v = _attention_operands(b, c, h, w, m, seed=sum(dims) + 1)
+    proj = np.random.default_rng(2).standard_normal((b, c, h, w))
+
+    def loss_fn(_=None):
+        return dot(F.attention(q, k, v, heads), proj)
+
+    grads = backward(loss_fn())
+    for t in (q, k, v):
+        assert grads[t].shape == t.shape
+        np.testing.assert_allclose(grads[t], finite_diff_grad(loss_fn, t), rtol=0, atol=1e-8)
+
+
+def test_attention_without_the_tape_gives_the_same_bits():
+    q, k, v = _attention_operands(2, 4, 3, 5, 6, seed=3)
+    with T.no_grad():
+        plain = F.attention(q, k, v, 2)
+    assert plain.op is None
+    assert plain.data.tobytes() == F.attention(q, k, v, 2).data.tobytes()
+
+
+def test_attention_checks_its_operands():
+    q, k, v = _attention_operands(1, 4, 2, 2, 3, seed=4)
+    with pytest.raises(ConfigError):
+        F.attention(q, k, v, 3)
+    with pytest.raises(ShapeError):
+        F.attention(q, k, Tensor(np.zeros((1, 4, 2))), 2)
+    with pytest.raises(ShapeError):
+        F.attention(q, Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 4, 3))), 2)
+    with pytest.raises(ShapeError):
+        F.attention(k, k, v, 2)
 
 
 # --------------------------------------------------------------------------

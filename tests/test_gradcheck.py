@@ -62,10 +62,9 @@ def test_check_gradients_reports_per_group():
     x = Tensor(rng.standard_normal((6, 4)))
 
     def loss_fn():
-        # x @ w as a (1, 4, 6) set, with w read transposed; column i of the
-        # set is row i of x @ w
-        h = T.bmm(T.reshape(w, (1, 4, 4)), Tensor(x.data.T[None]), transpose_a=True)
-        rows = [T.reshape(T.bmm(h, Tensor(np.eye(6)[None, :, i:i + 1])), (4,)) + b
+        # x @ w as one (1, 6, 4) product; row i is picked by a one-hot row
+        h = T.bmm(Tensor(x.data[None]), T.reshape(w, (1, 4, 4)))
+        rows = [T.reshape(T.bmm(Tensor(np.eye(6)[None, i:i + 1]), h), (4,)) + b
                 for i in range(6)]
         return dot(T.gelu(T.concat(rows, axis=0)))
 

@@ -75,23 +75,25 @@ def test_bmm_matches_per_slice_matmul():
 BMM_SHAPES = [(4, 3, 5, 2), (2, 1, 3, 4), (2, 3, 1, 4), (3, 4, 2, 1)]
 
 
-@pytest.mark.parametrize("transpose_a", [False, True])
+@pytest.mark.parametrize("a_transposed", [False, True])
 @pytest.mark.parametrize("transpose_b", [False, True])
 @pytest.mark.parametrize("dims", BMM_SHAPES, ids=lambda d: "x".join(map(str, d)))
-def test_bmm_flags_match_numpy_and_finite_differences(dims, transpose_a, transpose_b):
+def test_bmm_flags_match_numpy_and_finite_differences(dims, a_transposed, transpose_b):
     g, m, k, n = dims
     rng = np.random.default_rng(sum(dims))
-    # each operand is stored as its flag says and read transposed by bmm
-    a = Tensor(rng.standard_normal((g, k, m) if transpose_a else (g, m, k)), requires_grad=True)
+    # `b` is stored as its flag says and read transposed by bmm; `a` holds
+    # either a C-ordered array or a transposed (G,k,m) layout, which matmul
+    # reads as it lies and whose gradient still comes back shaped (G,m,k)
+    a_values = rng.standard_normal((g, k, m) if a_transposed else (g, m, k))
+    a = Tensor(a_values.transpose(0, 2, 1) if a_transposed else a_values, requires_grad=True)
     b = Tensor(rng.standard_normal((g, n, k) if transpose_b else (g, k, n)), requires_grad=True)
-    am = a.data.transpose(0, 2, 1) if transpose_a else a.data
     bm = b.data.transpose(0, 2, 1) if transpose_b else b.data
-    y = T.bmm(a, b, transpose_a=transpose_a, transpose_b=transpose_b)
-    np.testing.assert_array_equal(y.data, np.matmul(am, bm))
+    y = T.bmm(a, b, transpose_b=transpose_b)
+    np.testing.assert_array_equal(y.data, np.matmul(a.data, bm))
     proj = rng.standard_normal((g, m, n))
 
     def loss_fn(_=None):
-        return dot(T.bmm(a, b, transpose_a=transpose_a, transpose_b=transpose_b), proj)
+        return dot(T.bmm(a, b, transpose_b=transpose_b), proj)
 
     grads = backward(loss_fn())
     for t in (a, b):
@@ -100,12 +102,26 @@ def test_bmm_flags_match_numpy_and_finite_differences(dims, transpose_a, transpo
 
 
 def test_bmm_flags_check_the_read_shapes():
-    a, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5)))
+    a, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
     with pytest.raises(ShapeError):
         T.bmm(a, b)
-    assert T.bmm(a, b, transpose_a=True).shape == (2, 4, 5)
+    assert T.bmm(a, b, transpose_b=True).shape == (2, 3, 5)
     with pytest.raises(ShapeError):
-        T.bmm(a, b, transpose_b=True)
+        T.bmm(a, Tensor(np.ones((2, 4, 5))), transpose_b=True)
+
+
+def test_repeated_gradients_add_up_without_touching_shared_arrays():
+    # `add` hands one array to both inputs and `reshape` a view of it, so
+    # x's four contributions arrive as aliases of the gradients that w and
+    # u also receive; summing x's in place must leave theirs alone
+    rng = np.random.default_rng(13)
+    x, w, u = (Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3))
+    proj = rng.standard_normal((2, 3))
+    y = T.add(T.add(x, w), T.add(x, T.reshape(T.reshape(x, (3, 2)), (2, 3))))
+    grads = backward(dot(T.add(T.add(y, x), u), proj))
+    np.testing.assert_array_equal(grads[x], proj + proj + proj + proj)
+    for t in (w, u):
+        np.testing.assert_array_equal(grads[t], proj)
 
 
 def test_concat_backward_splits_gradient():
