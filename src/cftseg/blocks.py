@@ -44,6 +44,8 @@ from .tensor import Tensor, bmm, gelu, reshape
 
 @dataclass
 class LinearParams:
+    """A weight and its bias: an (out, in) channel mix or (C, 3, 3) depthwise taps."""
+
     w: Tensor
     b: Tensor
 
@@ -52,12 +54,6 @@ class LinearParams:
 class NormParams:
     gamma: Tensor
     beta: Tensor
-
-
-@dataclass
-class DepthwiseParams:
-    w: Tensor
-    b: Tensor
 
 
 def _uniform_linear(rng, out_dim: int, in_dim: int,
@@ -96,7 +92,7 @@ class CftBlockParams:
     w_o: LinearParams
     ffn_expand: LinearParams
     ffn_project: LinearParams
-    ffn_dw: DepthwiseParams
+    ffn_dw: LinearParams
     norm_embed: NormParams
     norm_query: NormParams
     norm_ffn: NormParams
@@ -111,9 +107,9 @@ class CftBlockParams:
         projection start at zero, making the whole block an identity;
         gradient-checking code turns this off so every rule is live.
         """
-        if channels % heads:
-            raise ConfigError(f"channels ({channels}) must divide evenly into "
-                              f"{heads} heads")
+        if heads < 1 or channels % heads:
+            raise ConfigError(f"channels ({channels}) must divide evenly into a "
+                              f"positive number of heads, got {heads}")
         hidden = ffn_ratio * channels
         if with_category:
             phi_mask = _uniform_linear(rng, num_categories, channels)
@@ -127,9 +123,9 @@ class CftBlockParams:
                else _uniform_linear(rng, channels, channels))
         ffn_expand = _uniform_linear(rng, hidden, channels)
         dw_bound = 1.0 / 3.0
-        ffn_dw = DepthwiseParams(Tensor(rng.uniform(-dw_bound, dw_bound, (hidden, 3, 3)),
-                                        requires_grad=True),
-                                 Tensor(np.zeros(hidden), requires_grad=True))
+        ffn_dw = LinearParams(Tensor(rng.uniform(-dw_bound, dw_bound, (hidden, 3, 3)),
+                                     requires_grad=True),
+                              Tensor(np.zeros(hidden), requires_grad=True))
         ffn_project = (_zero_linear(channels, hidden) if zero_residual_paths
                        else _uniform_linear(rng, channels, hidden))
         return cls(channels, heads, phi_mask, phi_feat, w_q, w_k, w_v, w_o,
@@ -147,16 +143,6 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
         for f in fields(params):
             out.update(named_tensors(getattr(params, f.name), f"{prefix}.{f.name}"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# attention
-
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, w_o: LinearParams, heads: int) -> Tensor:
-    """Multi-head attention of a (B, C, H, W) query map over (B, C, M) key
-    and value sets, then the output projection."""
-    return conv1x1(attention(q, k, v, heads), w_o.w, w_o.b)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,10 @@ def apply_variant(variant: str, f_high: Tensor, x_low: Tensor,
     queries = conv1x1(layer_norm(query_map, params.norm_query.gamma,
                                  params.norm_query.beta),
                       params.w_q.w, params.w_q.b)
-    attended = _attend(queries, linear(kv_set, params.w_k.w, params.w_k.b),
-                       linear(kv_set, params.w_v.w, params.w_v.b),
-                       params.w_o, params.heads)
+    keys = linear(kv_set, params.w_k.w, params.w_k.b)
+    values = linear(kv_set, params.w_v.w, params.w_v.b)
+    context = attention(queries, keys, values, params.heads)
+    attended = conv1x1(context, params.w_o.w, params.w_o.b)
     if wiring.upsample_after:
         attended = _up(attended, x_low) + x_low
     else:

@@ -20,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CheckpointError
+from .tensor import Tensor
 
 VERSION = 2
 FORMAT = "cftseg checkpoint v{}"
@@ -34,7 +35,6 @@ class Checkpoint:
     iteration: int
     config_text: str
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    version: int = VERSION
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
@@ -49,7 +49,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(
-                fh, format=np.array(FORMAT.format(checkpoint.version)),
+                fh, format=np.array(FORMAT.format(VERSION)),
                 iteration=np.array(checkpoint.iteration, dtype=np.int64),
                 config=np.array(checkpoint.config_text),
                 names=np.array(list(checkpoint.arrays), dtype=np.str_),
@@ -135,12 +135,11 @@ def _restore_arrays(arrays: Mapping[str, np.ndarray], prefix: str,
         target[...] = arrays[key]
 
 
-def model_state(named_params: Mapping[str, "np.ndarray"],
+def model_state(named_params: Mapping[str, Tensor],
                 optimizer_arrays: Mapping[str, np.ndarray] | None = None
                 ) -> dict[str, np.ndarray]:
     """Assemble the checkpoint array dict from params and optimizer state."""
-    out = {f"param/{name}": np.asarray(t.data if hasattr(t, "data") else t)
-           for name, t in named_params.items()}
+    out = {f"param/{name}": t.data for name, t in named_params.items()}
     if optimizer_arrays:
         out.update({k: np.asarray(v) for k, v in optimizer_arrays.items()})
     return out

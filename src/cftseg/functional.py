@@ -37,12 +37,9 @@ def _channel_mix(x: Tensor, w: Tensor, bias: Tensor, op: str) -> Tensor:
 
     def bwd(g):
         g3 = g.reshape(b_, c_out, -1)
-        gx = np.matmul(w.data.T, g3).reshape(x.shape) if x.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            gw = np.matmul(g3, xd.transpose(0, 2, 1)).sum(axis=0)
-        gb = g3.sum(axis=(0, 2)) if bias.requires_grad else None
-        return gx, gw, gb
+        return (np.matmul(w.data.T, g3).reshape(x.shape),
+                np.matmul(g3, xd.transpose(0, 2, 1)).sum(axis=0),
+                g3.sum(axis=(0, 2)))
 
     return Tensor._result(y.reshape((b_, c_out) + x.shape[2:]), (x, w, bias), op, bwd)
 
@@ -130,32 +127,28 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         g3 = g.reshape(planes, h_, w_)
-        gx3 = np.empty((planes, h_, w_)) if x.requires_grad else None
-        gw3 = np.empty((planes, 3, 3)) if w.requires_grad else None
+        gx3 = np.empty((planes, h_, w_))
+        gw3 = np.empty((planes, 3, 3))
         pad, tmp, gpad = _block_buffers(step, h_, w_)
         for s in blocks:
             n = s.stop - s.start
             gy = g3[s]
-            if gx3 is not None:
-                # scatter each tap's contribution into a padded gradient
-                gp, wb, tb = gpad[:n], w3[s], tmp[:n]
-                gp.fill(0.0)
-                for di in range(3):
-                    for dj in range(3):
-                        np.multiply(wb[:, di, dj], gy, out=tb)
-                        gp[:, di:di + h_, dj:dj + w_] += tb
-                gx3[s] = gp[:, 1:-1, 1:-1]
-            if gw3 is not None:
-                # one plane-wise dot product per tap, summed over images below
-                xp = padded(pad, s)
-                for di in range(3):
-                    for dj in range(3):
-                        np.einsum("nij,nij->n", gy, xp[:, di:di + h_, dj:dj + w_],
-                                  out=gw3[s, di, dj])
-        gx = gx3.reshape(x.shape) if gx3 is not None else None
-        gw = gw3.reshape(b_, c_, 3, 3).sum(axis=0) if gw3 is not None else None
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-        return gx, gw, gb
+            # scatter each tap's contribution into a padded gradient
+            gp, wb, tb = gpad[:n], w3[s], tmp[:n]
+            gp.fill(0.0)
+            for di in range(3):
+                for dj in range(3):
+                    np.multiply(wb[:, di, dj], gy, out=tb)
+                    gp[:, di:di + h_, dj:dj + w_] += tb
+            gx3[s] = gp[:, 1:-1, 1:-1]
+            # one plane-wise dot product per tap, summed over images below
+            xp = padded(pad, s)
+            for di in range(3):
+                for dj in range(3):
+                    np.einsum("nij,nij->n", gy, xp[:, di:di + h_, dj:dj + w_],
+                              out=gw3[s, di, dj])
+        return (gx3.reshape(x.shape), gw3.reshape(b_, c_, 3, 3).sum(axis=0),
+                g.sum(axis=(0, 2, 3)))
 
     return Tensor._result(y, (x, w, bias), "depthwise_conv3x3", bwd)
 
@@ -194,8 +187,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"attention takes a 4-d query map and 3-d key/value sets, "
                          f"got q {q.shape}, k {k.shape}")
     b, c, h, w = q.shape
-    if c % heads:
-        raise ConfigError(f"query width {c} must divide into {heads} heads")
+    if heads < 1 or c % heads:
+        raise ConfigError(f"query width {c} must divide into a positive number "
+                          f"of heads, got {heads}")
     if k.shape != v.shape or k.shape[:2] != (b, c):
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}")
@@ -251,22 +245,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y += bd
 
     def bwd(g):
-        gx = gg = None
-        tmp = np.empty_like(xhat) if x.requires_grad or gamma.requires_grad else None
-        if x.requires_grad:
-            # inv (gxh - mean(gxh) - xhat mean(gxh xhat)) with gxh = g gamma,
-            # in the order of that expression but in two buffers
-            gx = np.multiply(g, gd)
-            np.multiply(gx, xhat, out=tmp)
-            m2 = tmp.mean(axis=1, keepdims=True)
-            gx -= gx.mean(axis=1, keepdims=True)
-            np.multiply(xhat, m2, out=tmp)
-            gx -= tmp
-            gx *= inv
-        if gamma.requires_grad:
-            gg = np.multiply(g, xhat, out=tmp).sum(axis=(0, 2, 3))
-        gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        return gx, gg, gb
+        # inv (gxh - mean(gxh) - xhat mean(gxh xhat)) with gxh = g gamma,
+        # in the order of that expression but in two buffers
+        gx = np.multiply(g, gd)
+        tmp = np.multiply(gx, xhat)
+        m2 = tmp.mean(axis=1, keepdims=True)
+        gx -= gx.mean(axis=1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        gx -= tmp
+        gx *= inv
+        gg = np.multiply(g, xhat, out=tmp).sum(axis=(0, 2, 3))
+        return gx, gg, g.sum(axis=(0, 2, 3))
 
     return Tensor._result(y, (x, gamma, beta), "layer_norm", bwd)
 

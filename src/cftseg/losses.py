@@ -74,12 +74,9 @@ def check_category_count(num_categories: int, error: type[ValueError]) -> None:
 def one_hot(labels: np.ndarray, num_categories: int) -> np.ndarray:
     """(B,H,W) indices -> (B,L,H,W) float one-hot; ignored pixels all-zero."""
     labels = check_labels(labels, num_categories)
-    flat = labels.reshape(-1)
-    out = np.zeros((flat.size, num_categories))
-    valid = flat != IGNORE_INDEX
-    out[np.nonzero(valid)[0], flat[valid]] = 1.0
-    out = out.reshape(*labels.shape, num_categories)
-    return np.moveaxis(out, -1, 1) if labels.ndim == 3 else out
+    if labels.ndim != 3:
+        raise ShapeError(f"labels must be (B,H,W), got {labels.shape}")
+    return (labels[:, None] == np.arange(num_categories)[:, None, None]).astype(np.float64)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -163,11 +160,19 @@ def sum_masks_orderly(masks: Sequence[Tensor],
 
 def _check_mask_input(logits: Tensor, target: np.ndarray,
                       valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Float target and the kept-pixel mask broadcast to its (B,L,H,W) shape."""
+    """Float target and the kept-pixel mask broadcast to its (B,L,H,W) shape.
+
+    Raises ValueError unless every target value is 0 or 1 and `valid`, when
+    given, is boolean: the closed forms score binary targets only.
+    """
     target = np.asarray(target, dtype=np.float64)
     if logits.ndim != 4 or target.shape != logits.shape:
         raise ShapeError(f"mask logits {logits.shape} and target {target.shape} "
                          "must be matching (B,L,H,W) arrays")
+    if not ((target == 0.0) | (target == 1.0)).all():
+        raise ValueError("mask targets must be 0 or 1")
+    if valid is not None and np.asarray(valid).dtype != np.bool_:
+        raise ValueError("the kept-pixel mask `valid` must be boolean")
     keep = 1.0 if valid is None else np.asarray(valid, dtype=np.float64)[:, None]
     return target, np.broadcast_to(keep, target.shape)
 
@@ -262,7 +267,7 @@ def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
         # every running sum faces the same targets, so the mean of the
         # per-sum losses is the loss of the sums stacked along the batch
         copies = len(sums)
-        stacked = concat(sums, axis=0)
+        stacked = concat(sums)
         target = np.tile(target, (copies, 1, 1, 1))
         valid = np.tile(valid, (copies, 1, 1))
         dice = dice_loss(stacked, target, valid)

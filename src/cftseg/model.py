@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import (CftBlockParams, DepthwiseParams, LinearParams, VARIANTS,
-                     _uniform_linear, apply_variant, named_tensors)
+from .blocks import (CftBlockParams, LinearParams, VARIANTS, _uniform_linear,
+                     apply_variant, named_tensors)
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
@@ -56,7 +56,7 @@ class ModelConfig:
 @dataclass
 class StageParams:
     conv: LinearParams
-    dw: DepthwiseParams
+    dw: LinearParams
 
 
 def _init_stage(rng, in_ch: int, out_ch: int) -> StageParams:
@@ -64,9 +64,9 @@ def _init_stage(rng, in_ch: int, out_ch: int) -> StageParams:
     # a channel standardization, so per-stage gain only has to stay O(1)
     conv = _uniform_linear(rng, out_ch, in_ch, gain=math.sqrt(6.0))
     bound = 1.0
-    dw = DepthwiseParams(Tensor(rng.uniform(-bound, bound, (out_ch, 3, 3)),
-                                requires_grad=True),
-                         Tensor(np.zeros(out_ch), requires_grad=True))
+    dw = LinearParams(Tensor(rng.uniform(-bound, bound, (out_ch, 3, 3)),
+                             requires_grad=True),
+                      Tensor(np.zeros(out_ch), requires_grad=True))
     return StageParams(conv, dw)
 
 

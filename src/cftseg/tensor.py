@@ -41,17 +41,17 @@ def no_grad():
 class OpRecord:
     """One recorded operation: its inputs and backward rule.
 
-    `backward` maps the output gradient to a sequence of input gradients
-    aligned with `inputs`; entries may be None for inputs that do not
-    need a gradient. The record holds no reference to its output, so a
-    graph only points from outputs to inputs and reference counting
-    frees it as soon as its last tensor is dropped.
+    `backward` maps the output gradient to one gradient array per input,
+    aligned with `inputs` and shaped like each; only the sweep in
+    `backward` drops those of inputs that need none. The record holds no
+    reference to its output, so a graph only points from outputs to inputs
+    and reference counting frees it as soon as its last tensor is dropped.
     """
 
     __slots__ = ("op", "inputs", "backward")
 
     def __init__(self, op: str, inputs: tuple,
-                 backward: Callable[[Array], Sequence[Array | None]]):
+                 backward: Callable[[Array], Sequence[Array]]):
         self.op = op
         self.inputs = inputs
         self.backward = backward
@@ -78,7 +78,7 @@ class Tensor:
 
     @classmethod
     def _result(cls, data: Array, inputs: tuple, op: str,
-                backward: Callable[[Array], Sequence[Array | None]]) -> "Tensor":
+                backward: Callable[[Array], Sequence[Array]]) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
         out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
@@ -244,26 +244,21 @@ def columns(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor._result(a.data[:, start:stop], (a,), "columns", bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along the first axis; the other axes must agree."""
     tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat of an empty sequence")
-    axis = axis % tensors[0].ndim
-    base = list(tensors[0].shape)
     for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base):
-            raise ShapeError("concat operands must share rank")
-        if other[:axis] + other[axis + 1:] != base[:axis] + base[axis + 1:]:
-            raise ShapeError(f"concat: shape {t.shape} does not match {tensors[0].shape} off axis {axis}")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+        if t.shape[1:] != tensors[0].shape[1:]:
+            raise ShapeError(f"concat: shape {t.shape} does not match {tensors[0].shape} "
+                             "past the first axis")
+    splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(part) for part in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(part) for part in np.split(g, splits))
 
-    return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
-                          tensors, "concat", bwd)
+    return Tensor._result(np.concatenate([t.data for t in tensors]), tensors, "concat", bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +303,10 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
     # of it, for an input (add, reshape)
     owned: set[int] = set()
     for t in reversed(tape):
-        g = grads.pop(id(t), None)
-        if g is None:
-            continue
-        for inp, gi in zip(t.op.inputs, t.op.backward(g)):
-            if gi is None or not inp.requires_grad:
+        # every recorded tensor has its gradient by now: the loss's is seeded,
+        # and each other one feeds a later record whose rule has run
+        for inp, gi in zip(t.op.inputs, t.op.backward(grads.pop(id(t)))):
+            if not inp.requires_grad:
                 continue
             key = id(inp)
             if key not in grads:

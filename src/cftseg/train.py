@@ -113,7 +113,7 @@ def _diverged(out: Path, err: DivergedError, record: dict) -> NoReturn:
 
 
 def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
-          resume=None) -> TrainResult:
+          resume: str | Path | None = None) -> TrainResult:
     """Deterministic per (seed, config); logs CSV and saves checkpoints.
 
     Raises ConfigError when `dataset` has another category count than
@@ -135,7 +135,7 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
 
     start = 0
     if resume is not None:
-        ck = resume if isinstance(resume, Checkpoint) else load_checkpoint(resume)
+        ck = load_checkpoint(resume)
         if parse_config_text(ck.config_text) != parse_config_text(config_to_text(config)):
             raise ConfigError("checkpoint config does not match this run")
         _restore_arrays(ck.arrays, "param",
@@ -183,9 +183,10 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
                        log_path=log_path, rows=rows)
 
 
-def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
+def evaluate(model: SegModel | str | Path, dataset: Dataset) -> dict:
     """Single-scale inference metrics over a dataset, from one no_grad
     forward per `_EVAL_PIXELS` image pixels (at least one image each).
+    `model` is a model or the path of a checkpoint to build one from.
 
     The logits give mIoU, pixel accuracy and per-category IoU. The stage
     masks give `mask_agreement`: the fraction of mask argmax pixels, all
@@ -198,11 +199,8 @@ def evaluate(model_or_checkpoint, dataset: Dataset) -> dict:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    model = model_or_checkpoint
     if isinstance(model, (str, Path)):
-        model = load_checkpoint(model)
-    if isinstance(model, Checkpoint):
-        model, _ = model_from_checkpoint(model)
+        model, _ = model_from_checkpoint(load_checkpoint(model))
     _check_category_count(dataset, model.config.num_categories)
     cm = ConfusionMatrix(dataset.num_categories)
     matched = scored = 0

@@ -34,8 +34,9 @@ def attend(q, k, v, params):
     """Attention of one sample's (N, C) query, key and value arrays; the
     queries go in as a (1, C, N, 1) map, the keys and values as (1, C, M)
     sets, and the output comes back as (N, C) rows."""
-    return B._attend(Tensor(q.T[None, :, :, None]), Tensor(k.T[None]), Tensor(v.T[None]),
-                     params.w_o, params.heads).data[0, :, :, 0].T
+    ctx = F.attention(Tensor(q.T[None, :, :, None]), Tensor(k.T[None]), Tensor(v.T[None]),
+                      params.heads)
+    return F.conv1x1(ctx, params.w_o.w, params.w_o.b).data[0, :, :, 0].T
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +166,8 @@ def test_attention_gradients_reach_all_operands():
     q = Tensor(rng.standard_normal((1, 8, 3, 1)), requires_grad=True)
     k = Tensor(rng.standard_normal((1, 8, 2)), requires_grad=True)
     v = Tensor(rng.standard_normal((1, 8, 2)), requires_grad=True)
-    grads = backward(dot(B._attend(q, k, v, params.w_o, params.heads)))
+    grads = backward(dot(F.conv1x1(F.attention(q, k, v, params.heads),
+                                   params.w_o.w, params.w_o.b)))
     for t in (q, k, v):
         assert np.abs(grads[t]).max() > 0
 
@@ -174,6 +176,12 @@ def test_head_split_requires_divisibility():
     rng = np.random.default_rng(10)
     with pytest.raises(ConfigError):
         B.CftBlockParams.create(9, 3, 2, 2, rng)
+
+
+@pytest.mark.parametrize("heads", [0, -2])
+def test_block_refuses_fewer_than_one_head(heads):
+    with pytest.raises(ConfigError, match="positive number of heads"):
+        B.CftBlockParams.create(8, 3, heads, 2, np.random.default_rng(10))
 
 
 # --------------------------------------------------------------------------

@@ -512,6 +512,13 @@ def test_attention_checks_its_operands():
         F.attention(k, k, v, 2)
 
 
+@pytest.mark.parametrize("heads", [0, -2])
+def test_attention_refuses_fewer_than_one_head(heads):
+    q, k, v = _attention_operands(1, 4, 2, 2, 3, seed=4)
+    with pytest.raises(ConfigError, match="positive number of heads"):
+        F.attention(q, k, v, heads)
+
+
 # --------------------------------------------------------------------------
 # layer norm
 

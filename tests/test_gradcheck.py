@@ -66,7 +66,7 @@ def test_check_gradients_reports_per_group():
         h = T.bmm(Tensor(x.data[None]), T.reshape(w, (1, 4, 4)))
         rows = [T.reshape(T.bmm(Tensor(np.eye(6)[None, i:i + 1]), h), (4,)) + b
                 for i in range(6)]
-        return dot(T.gelu(T.concat(rows, axis=0)))
+        return dot(T.gelu(T.concat(rows)))
 
     rows = check_gradients(loss_fn, {"w": w, "b": b}, coords_per_tensor=6, seed=7)
     assert {r.name for r in rows} == {"w", "b"}

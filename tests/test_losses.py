@@ -285,6 +285,22 @@ class TestDiceAndFocal:
             loss(Tensor(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
 
     @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
+    def test_rejects_targets_other_than_zero_and_one(self, loss, value):
+        # the closed forms score binary targets only: at zero logits the
+        # focal loss of target 2 would be negative, that of 0.5 positive
+        target = np.zeros((1, 2, 3, 3))
+        target[0, 1, 1, 2] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            loss(Tensor(np.zeros((1, 2, 3, 3))), target)
+
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    def test_rejects_a_kept_pixel_mask_that_is_not_boolean(self, loss):
+        target = np.ones((1, 2, 3, 3))
+        with pytest.raises(ValueError, match="boolean"):
+            loss(Tensor(np.zeros((1, 2, 3, 3))), target, np.full((1, 3, 3), 0.5))
+
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
     def test_no_kept_pixel_gives_zero(self, loss):
         target = np.ones((1, 2, 3, 3))
         valid = np.zeros((1, 3, 3), dtype=bool)

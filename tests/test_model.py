@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cftseg import Tensor, backward, finite_diff_grad
+from cftseg.config import VARIANT_CHOICES
 from cftseg.errors import ConfigError
 import cftseg.blocks as B
 import cftseg.functional as F
+import cftseg.losses as L
 import cftseg.model as M
 import cftseg.tensor as T
 from scalar import dot
@@ -289,3 +291,30 @@ def test_gradients_flow_to_every_parameter_after_warmup():
     dead = [name for name, t in model.named_parameters().items()
             if not np.abs(grads[t]).max() > 0]
     assert not dead, dead
+
+
+@pytest.mark.parametrize("mask_mode", L.MASK_LOSS_MODES)
+@pytest.mark.parametrize("variant", VARIANT_CHOICES)
+def test_every_rule_returns_one_gradient_per_input(variant, mask_mode):
+    # the gradient contract: a rule returns every input's gradient, and
+    # only the sweep drops those of inputs that need none (the images, the
+    # backbone's fixed standardization, the decode head's zero bias)
+    model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    images = Tensor(rng.standard_normal((2, 3, 32, 32)))
+    logits, masks = model(images)
+    loss = L.total_loss(logits, masks, rng.integers(0, 4, size=(2, 32, 32)),
+                        mask_mode=mask_mode).total
+    tape = T.trace(loss)
+    for t in tape:
+        grads = t.op.backward(np.ones(t.shape))
+        assert len(grads) == len(t.op.inputs), t.op
+        for inp, g in zip(t.op.inputs, grads):
+            # a 0-d rule may give a numpy scalar, which has a shape too
+            assert g is not None and np.shape(g) == inp.shape, t.op
+    constants = [inp for t in tape for inp in t.op.inputs if not inp.requires_grad]
+    assert constants
+    grads = T.backward(loss)
+    assert images not in grads
+    assert not any(c in grads for c in constants)
+    assert set(grads) == set(model.named_parameters().values())

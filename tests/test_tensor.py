@@ -126,14 +126,21 @@ def test_repeated_gradients_add_up_without_touching_shared_arrays():
 
 def test_concat_backward_splits_gradient():
     rng = np.random.default_rng(10)
-    parts = [Tensor(rng.standard_normal((2, k, 3)), requires_grad=True) for k in (1, 2, 4)]
-    joined = T.concat(parts, axis=1)
-    assert joined.shape == (2, 7, 3)
-    np.testing.assert_array_equal(joined.data[:, 1:3], parts[1].data)
-    w = rng.standard_normal((2, 7, 3))
+    parts = [Tensor(rng.standard_normal((k, 2, 3)), requires_grad=True) for k in (1, 2, 4)]
+    joined = T.concat(parts)
+    assert joined.shape == (7, 2, 3)
+    np.testing.assert_array_equal(joined.data[1:3], parts[1].data)
+    w = rng.standard_normal((7, 2, 3))
     grads = backward(dot(joined, w))
-    for part, cols in zip(parts, (slice(0, 1), slice(1, 3), slice(3, 7))):
-        np.testing.assert_array_equal(grads[part], w[:, cols])
+    for part, rows in zip(parts, (slice(0, 1), slice(1, 3), slice(3, 7))):
+        np.testing.assert_array_equal(grads[part], w[rows])
+
+
+def test_concat_refuses_parts_that_differ_past_the_first_axis():
+    with pytest.raises(ShapeError, match="past the first axis"):
+        T.concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 2)))])
+    with pytest.raises(ShapeError, match="past the first axis"):
+        T.concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2)))])
 
 
 def test_reshape_backward():

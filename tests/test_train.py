@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cftseg.checkpoint import Checkpoint, load_checkpoint
+from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 import cftseg.config as CF
 from cftseg.data import Dataset, gen_synthetic_dataset
 from cftseg.errors import CheckpointError, ConfigError, DivergedError
@@ -98,14 +98,15 @@ def test_resume_checks_every_array_it_restores(tmp_path):
     cfg = tiny_config(total_iters=4, checkpoint_every=2)
     TR.train(cfg, tmp_path)
     ck = load_checkpoint(tmp_path / "checkpoint_000002.ckpt")
-    params_only = Checkpoint(iteration=ck.iteration, config_text=ck.config_text,
-                             arrays={k: v for k, v in ck.arrays.items()
-                                     if k.startswith("param/")})
+    params_only = save_checkpoint(tmp_path / "params_only.ckpt", Checkpoint(
+        iteration=ck.iteration, config_text=ck.config_text,
+        arrays={k: v for k, v in ck.arrays.items() if k.startswith("param/")}))
     with pytest.raises(CheckpointError, match="missing adam_m/"):
         TR.train(cfg, tmp_path / "a", resume=params_only)
     del ck.arrays["param/decode.cls.b"]
+    no_bias = save_checkpoint(tmp_path / "no_bias.ckpt", ck)
     with pytest.raises(CheckpointError, match="missing param/decode.cls.b"):
-        TR.train(cfg, tmp_path / "b", resume=ck)
+        TR.train(cfg, tmp_path / "b", resume=no_bias)
 
 
 def test_checkpoint_cadence(tmp_path):
