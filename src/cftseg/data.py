@@ -117,14 +117,24 @@ def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
     return paths
 
 
+def _read(path: Path, load):
+    """load(path), with a file that does not parse as its format (empty,
+    truncated, not JSON or not .npy) raised as a DatasetError naming it."""
+    try:
+        return load(path)
+    except (EOFError, ValueError) as err:
+        raise DatasetError(f"{path.name} is unreadable: {err}") from err
+
+
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`; raises DatasetError
-    unless its arrays and metadata fit together, every pixel is finite and
-    every label is a category of meta.json's count or the ignore label 255."""
+    unless its files parse, its arrays and metadata fit together, every
+    pixel is finite and every label is a category of meta.json's count or
+    the ignore label 255."""
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
-    images = np.load(src / "images.npy")
-    labels = np.load(src / "labels.npy")
+    meta = _read(src / "meta.json", lambda path: json.loads(path.read_text()))
+    images = _read(src / "images.npy", np.load)
+    labels = _read(src / "labels.npy", np.load)
     num_categories = meta.get("num_categories") if isinstance(meta, dict) else None
     if type(num_categories) is not int:
         raise DatasetError(f"meta.json: num_categories must be an integer, "

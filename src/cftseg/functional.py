@@ -58,38 +58,62 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _channel_mix(x, w, bias, "conv1x1")
 
 
-# Elements per block of whole (image, channel) planes in depthwise_conv3x3:
-# a block's padded input, output and product buffers stay in cache.
-_DW_BLOCK = 32768
+# Window elements per block of whole channels in depthwise_conv3x3: a
+# block's padded rows, windows and product rows stay in cache.
+_DW_BLOCK = 9 * 8192
 _workspace = threading.local()
 
 
-def _block_buffers(step: int, h: int, w: int) -> tuple[Array, Array, Array]:
-    """Padded-input, product and padded-gradient buffers for `step` planes.
+def _tap_windows(src: Array):
+    """Yield (channels, windows, rows) per block of whole channels of a
+    (B, C, H, W) map: its nine taps' (k, 9, B*H*P) windows and a (k, 1,
+    B*H*P) buffer for a product with them, for a row pitch P >= W+2.
 
-    They are views of one array per thread that every call reuses. Fresh
-    block-sized buffers on each call fragment the heap between the large
-    activations; that raised the peak RSS of 128 px naive training runs by
-    2-10%. The padded input's border is zeroed here, since a call with
-    another shape may have written it.
+    Each (channel, image) plane is copied once into a flat row of
+    (H+2)P+2 values, the zero-padded plane and two zeros, so the window
+    of tap (di, dj) is the slice of length HP at offset di*P+dj of every
+    row. Columns W to P-1 of a window line cross the border: scratch. HP
+    is a multiple of 8 because a BLAS gemv sums its last outputs in
+    another order (the last N mod 4 on OpenBLAS's Haswell kernels), and no
+    pixel may fall there, or an image would get other bits alone than in
+    a batch.
+
+    The buffers are views of one array per thread that every call reuses:
+    fresh ones per call fragmented the heap and raised the peak RSS of
+    128 px naive training runs by 2-10%. The padding is zeroed on each
+    call, since a call with another shape may have written it.
     """
-    n_pad, n_tmp = step * (h + 2) * (w + 2), step * h * w
+    b, c, h, w = src.shape
+    q = 8 // math.gcd(h, 8)
+    p = -(-(w + 2) // q) * q
+    n_row, n_out = (h + 2) * p + 2, b * h * p
+    step = max(1, min(c, _DW_BLOCK // max(1, 9 * n_out)))
+    n_pad, n_win = step * b * n_row, 9 * step * n_out
     buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < 2 * n_pad + n_tmp:
-        buf = _workspace.buf = np.empty(2 * n_pad + n_tmp)
-    pad = buf[:n_pad].reshape(step, h + 2, w + 2)
-    pad[:, 0] = pad[:, -1] = pad[:, :, 0] = pad[:, :, -1] = 0.0
-    tmp = buf[n_pad:n_pad + n_tmp].reshape(step, h, w)
-    gpad = buf[n_pad + n_tmp:2 * n_pad + n_tmp].reshape(step, h + 2, w + 2)
-    return pad, tmp, gpad
+    if buf is None or buf.size < n_pad + n_win + step * n_out:
+        buf = _workspace.buf = np.empty(n_pad + n_win + step * n_out)
+    pad = buf[:n_pad].reshape(step, b, n_row)
+    pad[:, :, -2:] = 0.0
+    planes = pad[:, :, :-2].reshape(step, b, h + 2, p)
+    planes[:, :, 0] = planes[:, :, -1] = planes[:, :, :, 0] = planes[:, :, :, w + 1:] = 0.0
+    windows = buf[n_pad:n_pad + n_win].reshape(step, 3, 3, b, h * p)
+    rows = buf[n_pad + n_win:n_pad + n_win + step * n_out].reshape(step, 1, n_out)
+    for start in range(0, c, step):
+        s = slice(start, min(start + step, c))
+        k = s.stop - start
+        planes[:k, :, 1:-1, 1:w + 1] = src[:, s].transpose(1, 0, 2, 3)
+        for di in range(3):
+            for dj in range(3):
+                windows[:k, di, dj] = pad[:k, :, di * p + dj:di * p + dj + h * p]
+        yield s, windows[:k].reshape(k, 9, n_out), rows[:k]
 
 
 def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Per-channel 3x3 convolution, stride 1, zero padding 1.
 
-    Both directions run the nine taps over blocks of whole (image, channel)
-    planes, zero-padding one block at a time, so the working set stays in
-    cache and no padded copy of the whole map is made or kept.
+    Both directions run over blocks of whole channels: one batched matmul
+    of the per-channel taps with a block's tap windows (im2col, blocked so
+    the working set stays in cache) sums the nine taps of its pixels.
     """
     if x.ndim != 4:
         raise ShapeError(f"depthwise_conv3x3 expects a 4-d map, got {x.shape}")
@@ -98,57 +122,33 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"depthwise weight must have shape ({c_}, 3, 3), got {w.shape}")
     if bias.shape != (c_,):
         raise ShapeError(f"depthwise bias must have shape ({c_},), got {bias.shape}")
-    planes = b_ * c_
-    x3 = x.data.reshape(planes, h_, w_)
-    # per-plane taps, (planes, 3, 3, 1, 1), and biases, (planes, 1, 1), to
-    # broadcast over one plane
-    w3 = np.broadcast_to(w.data, (b_, c_, 3, 3)).reshape(planes, 3, 3, 1, 1)
-    b3 = np.broadcast_to(bias.data, (b_, c_)).reshape(planes, 1, 1)
-    step = max(1, min(planes, _DW_BLOCK // max(1, h_ * w_)))
-    blocks = [slice(i, min(i + step, planes)) for i in range(0, planes, step)]
 
-    def padded(pad: Array, s: slice) -> Array:
-        xp = pad[:s.stop - s.start]
-        xp[:, 1:-1, 1:-1] = x3[s]
-        return xp
+    def lines(rows: Array) -> Array:
+        """(k, B, H, P) view of (k, 1, B*H*P) rows; columns W on are scratch."""
+        return rows.reshape(-1, b_, h_, rows.shape[-1] // (b_ * h_))
 
-    pad, tmp, _ = _block_buffers(step, h_, w_)
+    taps = w.data.reshape(c_, 1, 9)
     y = np.empty((b_, c_, h_, w_))
-    y3 = y.reshape(planes, h_, w_)
-    for s in blocks:
-        xp, yb, tb, wb = padded(pad, s), y3[s], tmp[:s.stop - s.start], w3[s]
-        # the first tap writes the block; the bias joins after all nine taps
-        np.multiply(wb[:, 0, 0], xp[:, :h_, :w_], out=yb)
-        for tap in range(1, 9):
-            di, dj = divmod(tap, 3)
-            np.multiply(wb[:, di, dj], xp[:, di:di + h_, dj:dj + w_], out=tb)
-            yb += tb
-        yb += b3[s]
+    for s, windows, rows in _tap_windows(x.data):
+        np.matmul(taps[s], windows, out=rows)
+        y.transpose(1, 0, 2, 3)[s] = lines(rows)[..., :w_]
+    y += bias.data[:, None, None]
 
     def bwd(g):
-        g3 = g.reshape(planes, h_, w_)
-        gx3 = np.empty((planes, h_, w_))
-        gw3 = np.empty((planes, 3, 3))
-        pad, tmp, gpad = _block_buffers(step, h_, w_)
-        for s in blocks:
-            n = s.stop - s.start
-            gy = g3[s]
-            # scatter each tap's contribution into a padded gradient
-            gp, wb, tb = gpad[:n], w3[s], tmp[:n]
-            gp.fill(0.0)
-            for di in range(3):
-                for dj in range(3):
-                    np.multiply(wb[:, di, dj], gy, out=tb)
-                    gp[:, di:di + h_, dj:dj + w_] += tb
-            gx3[s] = gp[:, 1:-1, 1:-1]
-            # one plane-wise dot product per tap, summed over images below
-            xp = padded(pad, s)
-            for di in range(3):
-                for dj in range(3):
-                    np.einsum("nij,nij->n", gy, xp[:, di:di + h_, dj:dj + w_],
-                              out=gw3[s, di, dj])
-        return (gx3.reshape(x.shape), gw3.reshape(b_, c_, 3, 3).sum(axis=0),
-                g.sum(axis=(0, 2, 3)))
+        gx = np.empty((b_, c_, h_, w_))
+        gw = np.empty((c_, 9))
+        # the input gradient is the forward with the taps turned half a circle
+        turned = taps[:, :, ::-1].copy()
+        for s, windows, rows in _tap_windows(g):
+            np.matmul(turned[s], windows, out=rows)
+            gx.transpose(1, 0, 2, 3)[s] = lines(rows)[..., :w_]
+            # tap t of the weight gradient pairs x, zero in the scratch
+            # columns, with g's window of the turned tap 8 - t
+            xs = lines(rows)
+            xs[..., :w_] = x.data[:, s].transpose(1, 0, 2, 3)
+            xs[..., w_:] = 0.0
+            gw[s] = np.matmul(windows, rows.transpose(0, 2, 1))[:, ::-1, 0]
+        return gx, gw.reshape(c_, 3, 3), g.sum(axis=(0, 2, 3))
 
     return Tensor._result(y, (x, w, bias), "depthwise_conv3x3", bwd)
 

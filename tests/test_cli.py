@@ -188,6 +188,19 @@ def test_short_labels_file_is_json_error(tiny_cfg, tmp_path, capsys):
     assert "labels.npy" in payload["message"]
 
 
+@pytest.mark.parametrize("name,content", [
+    ("images.npy", b""), ("labels.npy", b""), ("meta.json", b"{not json"),
+], ids=["empty-images", "empty-labels", "meta-not-json"])
+def test_unreadable_dataset_file_is_json_error(name, content, tiny_cfg, tmp_path, capsys):
+    def overwrite(data_dir):
+        (data_dir / name).write_bytes(content)
+
+    assert _train_on_damaged_data(tiny_cfg, tmp_path, overwrite) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "DatasetError"
+    assert name in payload["message"]
+
+
 def test_meta_without_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
     def drop_count(data_dir):
         (data_dir / "meta.json").write_text('{"n_images": 2, "size": 32}\n')

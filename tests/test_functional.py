@@ -3,6 +3,7 @@
 import contextlib
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -190,11 +191,26 @@ def test_depthwise_gradients():
         np.testing.assert_allclose(grads[p], finite_diff_grad(loss_fn, p), atol=1e-8)
 
 
+def dw_block(channels, shape):
+    """_DW_BLOCK that gives blocks of `channels` channels of a (B, C, H, W) map.
+
+    A block holds 9 windows of B*H*P values per channel, for the row pitch
+    P >= W+2 that makes H*P a multiple of 8.
+    """
+    b, _, h, w = shape
+    pitch = next(p for p in range(w + 2, w + 10) if h * p % 8 == 0)
+    return channels * 9 * b * h * pitch
+
+
 @pytest.mark.parametrize("shape,block", [
     ((1, 3, 5, 4), None),     # one image, H != W
     ((2, 3, 1, 1), None),     # 1x1 maps: every tap but the centre is padding
-    ((3, 3, 4, 5), 40),       # blocks of 2 planes: 9 planes end in a partial block
-    ((1, 5, 8, 8), 128),      # blocks of 2 planes: 5 planes end in a partial block
+    # blocks of 2 channels (2 * 9 windows of 3*4*8 values): 3 channels end
+    # in a partial block
+    ((3, 3, 4, 5), dw_block(2, (3, 3, 4, 5))),
+    # blocks of 2 channels (2 * 9 windows of 1*8*10 values): 5 channels end
+    # in a partial block
+    ((1, 5, 8, 8), dw_block(2, (1, 5, 8, 8))),
 ], ids=["batch1", "1x1", "partial-block-9", "partial-block-5"])
 def test_depthwise_backward_matches_loop_oracle(shape, block, monkeypatch):
     if block is not None:
@@ -211,7 +227,9 @@ def test_depthwise_backward_matches_loop_oracle(shape, block, monkeypatch):
 
 
 def test_depthwise_on_a_transposed_view_matches_loop_oracles(monkeypatch):
-    monkeypatch.setattr(F, "_DW_BLOCK", 60)  # 2 planes of 5x6 per block
+    # blocks of 2 channels (2 * 9 windows of 2*5*8 values): 3 channels end
+    # in a partial block
+    monkeypatch.setattr(F, "_DW_BLOCK", dw_block(2, (2, 3, 5, 6)))
     rng = np.random.default_rng(8)
     # Tensor keeps the stride order of what it copies, so x is stored transposed
     x = Tensor(rng.standard_normal((2, 3, 6, 5)).transpose(0, 1, 3, 2), requires_grad=True)
@@ -229,8 +247,37 @@ def test_depthwise_on_a_transposed_view_matches_loop_oracles(monkeypatch):
     np.testing.assert_allclose(grads[b], gb, rtol=0, atol=1e-10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 7), st.integers(1, 7),
+       st.data())
+def test_depthwise_of_drawn_shapes_matches_loop_oracles(b, c, h, w, data):
+    # 1x1, 1xN and Nx1 planes, blocks of 1 to C channels; consecutive
+    # examples change shape, so the shared workspace's padding is re-zeroed
+    shape = (b, c, h, w)
+    channels = data.draw(st.integers(1, c), label="channels per block")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    wt = Tensor(rng.standard_normal((c, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(c), requires_grad=True)
+    g = rng.standard_normal(shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "_DW_BLOCK", dw_block(channels, shape))
+        y = F.depthwise_conv3x3(x, wt, bias)
+        grads = backward(dot(y, g))
+        for n in range(b):
+            # evaluate may forward an image alone or in a batch
+            alone = F.depthwise_conv3x3(Tensor(x.data[n:n + 1]), wt, bias)
+            assert alone.data.tobytes() == y.data[n:n + 1].tobytes()
+    np.testing.assert_allclose(y.data, depthwise_oracle(x.data, wt.data, bias.data),
+                               rtol=0, atol=1e-12)
+    for got, want in zip((grads[x], grads[wt], grads[bias]),
+                         depthwise_grad_oracle(x.data, wt.data, g)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
 def test_depthwise_peak_memory_stays_near_the_map_size():
-    # a form that copies 3x3 windows of the map needs more than 10x its bytes
+    # the 3x3 windows of the whole map, copied in one unblocked pass, and
+    # the output need more than 10x its bytes
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((2, 32, 48, 48)), requires_grad=True)
     w = Tensor(rng.standard_normal((32, 3, 3)), requires_grad=True)
