@@ -15,6 +15,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from . import tensor as _tape
 from .tensor import Array, Tensor
 
 __all__ = [
@@ -171,17 +172,24 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), "softmax", bwd)
 
 
+# Score elements per head in one block of queries in attention: a
+# block's scores stay in cache. The width depends on the key count alone,
+# so an image gets the same bits alone as in a batch.
+_ATTN_BLOCK = 16384
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention of a query map over a key/value set.
 
     `q` is a (B, C, H, W) map and `k` and `v` are (B, C, M) sets; the
     result is the (B, C, H, W) context map, before any output projection.
     Heads own contiguous channel slices, so each operand splits into
-    (B*heads, C/heads, positions) with one reshape. The (B*heads, M, H*W)
-    scores, keys x queries with the softmax over the keys, live in one
-    buffer that becomes the attention weights in place, kept for the
-    backward only when recording; the backward never forms the weights'
-    own gradient.
+    (B*heads, C/heads, positions) with one reshape. The queries run in
+    blocks of _ATTN_BLOCK // M, whose (B*heads, M, width) scores, keys x
+    queries, stay in cache. The scale is applied to the keys and the
+    softmax normalisation to the context, so the scores are only shifted
+    and exponentiated. The blocks are kept for the backward only when
+    recording; the backward never forms the weights' own gradient.
     """
     if q.ndim != 4 or k.ndim != 3:
         raise ShapeError(f"attention takes a 4-d query map and 3-d key/value sets, "
@@ -195,29 +203,61 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                          f"v {v.shape}")
     groups, dh, m, n = b * heads, c // heads, k.shape[2], h * w
     qh = q.data.reshape(groups, dh, n)
-    kh = k.data.reshape(groups, dh, m)
-    vh = v.data.reshape(groups, dh, m)
     scale = 1.0 / math.sqrt(dh)
-    weights = np.matmul(kh.transpose(0, 2, 1), qh)
-    weights *= scale
-    weights -= weights.max(axis=1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
-    ctx = np.matmul(vh, weights)
+    ks = k.data.reshape(groups, dh, m) * scale
+    vh = v.data.reshape(groups, dh, m)
+    width = max(1, min(n, _ATTN_BLOCK // m))
+    spans = [slice(i, min(i + width, n)) for i in range(0, n, width)]
+    # recorded, the blocks lie one after another in one array for the
+    # backward; otherwise one block's room serves them all
+    records = _tape._GRAD_ENABLED and (q.requires_grad or k.requires_grad
+                                       or v.requires_grad)
+    store = np.empty(groups * m * (n if records else width))
+    blocks = []
+    ctx = np.empty((groups, dh, n))
+    # inv first holds each query's sum of weights, taken as a product with
+    # ones: BLAS sums a block faster than a reduction over its middle axis
+    inv = np.empty((groups, 1, n))
+    ones = np.ones((1, 1, m))
+    for s in spans:
+        start = groups * m * s.start if records else 0
+        e = store[start:start + groups * m * (s.stop - s.start)].reshape(groups, m, -1)
+        np.matmul(ks.transpose(0, 2, 1), qh[:, :, s], out=e)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        np.matmul(ones, e, out=inv[:, :, s])
+        np.matmul(vh, e, out=ctx[:, :, s])
+        blocks.append(e)
+    np.divide(1.0, inv, out=inv)
+    ctx *= inv
 
     def bwd(grad):
         g = grad.reshape(groups, dh, n)
-        # the score gradient weights * (vh^T g - r) * scale, with r the
-        # per-query sum over keys of weights * vh^T g, which equals the
-        # sum over channels of g * ctx (FlashAttention's identity)
-        r = (g * ctx).sum(axis=1, keepdims=True)
-        gs = np.matmul(vh.transpose(0, 2, 1), g)
-        gs -= r
-        gs *= weights
-        gs *= scale
-        return (np.matmul(kh, gs).reshape(q.shape),
-                np.matmul(qh, gs.transpose(0, 2, 1)).reshape(k.shape),
-                np.matmul(g, weights.transpose(0, 2, 1)).reshape(v.shape))
+        # with the weights e * inv, the score gradient is e * (vh^T gi - r)
+        # for gi = g * inv and r the per-query sum over channels of g * ctx,
+        # times inv (FlashAttention's identity). One buffer holds g * ctx,
+        # then gi, then block by block the query gradient.
+        gq = np.multiply(g, ctx)
+        r = gq.sum(axis=1, keepdims=True)
+        r *= inv
+        np.multiply(g, inv, out=gq)
+        a = np.empty(groups * m * width)
+        for i, (s, e) in enumerate(zip(spans, blocks)):
+            gi = gq[:, :, s]
+            gs = a[:e.size].reshape(e.shape)
+            np.matmul(vh.transpose(0, 2, 1), gi, out=gs)
+            pv = np.matmul(gi, e.transpose(0, 2, 1))
+            gs -= r[:, :, s]
+            gs *= e
+            np.matmul(ks, gs, out=gi)
+            pk = np.matmul(qh[:, :, s], gs.transpose(0, 2, 1))
+            if i:
+                gk += pk
+                gv += pv
+            else:
+                gk, gv = pk, pv
+        gk *= scale
+        return gq.reshape(q.shape), gk.reshape(k.shape), gv.reshape(v.shape)
 
     return Tensor._result(ctx.reshape(q.shape), (q, k, v), "attention", bwd)
 
