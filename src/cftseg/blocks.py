@@ -64,6 +64,13 @@ def _uniform_linear(rng, out_dim: int, in_dim: int,
                         Tensor(np.zeros(out_dim), requires_grad=True))
 
 
+def _uniform_taps(rng, channels: int, bound: float) -> LinearParams:
+    """Depthwise 3x3 taps drawn uniformly from [-bound, bound], zero bias."""
+    return LinearParams(Tensor(rng.uniform(-bound, bound, (channels, 3, 3)),
+                               requires_grad=True),
+                        Tensor(np.zeros(channels), requires_grad=True))
+
+
 def _zero_linear(out_dim: int, in_dim: int) -> LinearParams:
     return LinearParams(Tensor(np.zeros((out_dim, in_dim)), requires_grad=True),
                         Tensor(np.zeros(out_dim), requires_grad=True))
@@ -122,10 +129,7 @@ class CftBlockParams:
         w_o = (_zero_linear(channels, channels) if zero_residual_paths
                else _uniform_linear(rng, channels, channels))
         ffn_expand = _uniform_linear(rng, hidden, channels)
-        dw_bound = 1.0 / 3.0
-        ffn_dw = LinearParams(Tensor(rng.uniform(-dw_bound, dw_bound, (hidden, 3, 3)),
-                                     requires_grad=True),
-                              Tensor(np.zeros(hidden), requires_grad=True))
+        ffn_dw = _uniform_taps(rng, hidden, bound=1.0 / 3.0)
         ffn_project = (_zero_linear(channels, hidden) if zero_residual_paths
                        else _uniform_linear(rng, channels, hidden))
         return cls(channels, heads, phi_mask, phi_feat, w_q, w_k, w_v, w_o,

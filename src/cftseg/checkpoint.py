@@ -4,6 +4,7 @@ One uncompressed `np.savez` archive of the `_MEMBERS` (scalar type, rank): the
 arrays' names, ranks, shapes back to back and values concatenated in that order.
 zipfile checks each member's CRC-32; members carry a fixed date, so equal
 checkpoints are equal bytes. Writes go to a temp file and are renamed into place.
+`model_state` and `restore_state` alone name the arrays of a training run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CheckpointError
+from .optim import AdamW
 from .tensor import Tensor
 
 VERSION = 2
@@ -122,24 +124,30 @@ def load_checkpoint(path) -> Checkpoint:
                               name, shape, size, end in zip(names, shapes, sizes, ends)})
 
 
-def _restore_arrays(arrays: Mapping[str, np.ndarray], prefix: str,
-                    targets: Mapping[str, np.ndarray]) -> None:
-    """Copy `prefix/<name>` arrays into `targets` in place; every name must
-    be present with the target's shape."""
-    for name, target in targets.items():
-        key = f"{prefix}/{name}"
-        if key not in arrays:
-            raise CheckpointError(f"checkpoint is missing {key}")
-        if arrays[key].shape != target.shape:
-            raise CheckpointError(f"shape mismatch for {key}")
-        target[...] = arrays[key]
-
-
 def model_state(named_params: Mapping[str, Tensor],
-                optimizer_arrays: Mapping[str, np.ndarray] | None = None
-                ) -> dict[str, np.ndarray]:
-    """Assemble the checkpoint array dict from params and optimizer state."""
+                optimizer: AdamW | None = None) -> dict[str, np.ndarray]:
+    """The checkpoint arrays, views of the live ones: `param/<name>` per
+    parameter, then with an optimizer `adam_m/<name>` and `adam_v/<name>`,
+    its two moments of each parameter in turn."""
     out = {f"param/{name}": t.data for name, t in named_params.items()}
-    if optimizer_arrays:
-        out.update({k: np.asarray(v) for k, v in optimizer_arrays.items()})
+    if optimizer is not None:
+        for name in optimizer.params:
+            out[f"adam_m/{name}"] = optimizer.m[name]
+            out[f"adam_v/{name}"] = optimizer.v[name]
     return out
+
+
+def restore_state(ck: Checkpoint, named_params: Mapping[str, Tensor],
+                  optimizer: AdamW | None = None) -> None:
+    """Copy `ck`'s arrays into the parameters and, when given, the
+    optimizer's moments, in place, and set its step count to `ck`'s
+    iteration. Raises CheckpointError when an array `model_state` names is
+    missing or shaped otherwise than its target."""
+    for key, target in model_state(named_params, optimizer).items():
+        if key not in ck.arrays:
+            raise CheckpointError(f"checkpoint is missing {key}")
+        if ck.arrays[key].shape != target.shape:
+            raise CheckpointError(f"shape mismatch for {key}")
+        target[...] = ck.arrays[key]
+    if optimizer is not None:
+        optimizer.step_count = ck.iteration

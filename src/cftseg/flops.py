@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .blocks import _WIRINGS, _Wiring
-from .model import NUM_STAGES, ModelConfig, SegModel
+from .model import NUM_STAGES, ModelConfig, SegModel, stage_sizes
 
 
 def conv1x1_flops(batch: int, c_in: int, h: int, w: int, c_out: int) -> int:
@@ -76,13 +76,6 @@ class _ZeroDraws:
         return np.broadcast_to(0.0, size)
 
 
-def _stage_hw(input_hw: tuple[int, int]) -> list[tuple[int, int]]:
-    h, w = input_hw
-    if h % 32 or w % 32 or h <= 0 or w <= 0:
-        raise ConfigError(f"input {h}x{w} must be a positive multiple of 32")
-    return [(h >> (k + 2), w >> (k + 2)) for k in range(NUM_STAGES)]
-
-
 def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
                  c: int, l: int, ratio: int) -> int:
     """One fusion step read off its wiring: queries on the fine grid (the
@@ -109,7 +102,7 @@ def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
     if batch < 1:
         raise ConfigError("batch must be at least 1")
 
-    sizes = _stage_hw(tuple(input_hw))
+    sizes = stage_sizes(*input_hw)
     counts = [h * w for h, w in sizes]
     c, l, ratio = config.embed_channels, config.num_categories, config.ffn_ratio
     flops: dict[str, int] = {}

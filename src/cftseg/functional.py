@@ -15,8 +15,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from . import tensor as _tape
-from .tensor import Array, Tensor
+from .tensor import Array, Tensor, recording
 
 __all__ = [
     "linear", "conv1x1", "depthwise_conv3x3", "softmax", "attention",
@@ -210,8 +209,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     spans = [slice(i, min(i + width, n)) for i in range(0, n, width)]
     # recorded, the blocks lie one after another in one array for the
     # backward; otherwise one block's room serves them all
-    records = _tape._GRAD_ENABLED and (q.requires_grad or k.requires_grad
-                                       or v.requires_grad)
+    records = recording(q, k, v)
     store = np.empty(groups * m * (n if records else width))
     blocks = []
     ctx = np.empty((groups, dh, n))
@@ -304,9 +302,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def _resize_matrix(in_len: int, out_len: int) -> Array:
     """Row-mixing matrix for 1-d bilinear resampling, half-pixel centers."""
     m = np.zeros((out_len, in_len))
-    if out_len == in_len:
-        np.fill_diagonal(m, 1.0)
-        return m
     src = (np.arange(out_len) + 0.5) * (in_len / out_len) - 0.5
     src = np.clip(src, 0.0, in_len - 1.0)
     lo = np.floor(src).astype(np.int64)

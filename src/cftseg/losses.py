@@ -163,7 +163,8 @@ def _check_mask_input(logits: Tensor, target: np.ndarray,
     """Float target and the kept-pixel mask broadcast to its (B,L,H,W) shape.
 
     Raises ValueError unless every target value is 0 or 1 and `valid`, when
-    given, is boolean: the closed forms score binary targets only.
+    given, is boolean: the closed forms score binary targets only. Raises
+    ShapeError unless `valid` has the target's (B,H,W) shape.
     """
     target = np.asarray(target, dtype=np.float64)
     if logits.ndim != 4 or target.shape != logits.shape:
@@ -173,6 +174,10 @@ def _check_mask_input(logits: Tensor, target: np.ndarray,
         raise ValueError("mask targets must be 0 or 1")
     if valid is not None and np.asarray(valid).dtype != np.bool_:
         raise ValueError("the kept-pixel mask `valid` must be boolean")
+    b, _, h, w = target.shape
+    if valid is not None and np.shape(valid) != (b, h, w):
+        raise ShapeError(f"kept-pixel mask {np.shape(valid)} does not match the "
+                         f"target's (B,H,W) = {(b, h, w)}")
     keep = 1.0 if valid is None else np.asarray(valid, dtype=np.float64)[:, None]
     return target, np.broadcast_to(keep, target.shape)
 

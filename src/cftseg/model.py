@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import (CftBlockParams, LinearParams, VARIANTS, _uniform_linear,
-                     apply_variant, named_tensors)
+                     _uniform_taps, apply_variant, named_tensors)
 from .errors import ConfigError, ShapeError
 from .functional import (adaptive_avg_pool, bilinear_resize, conv1x1,
                          depthwise_conv3x3, layer_norm)
@@ -63,11 +63,7 @@ def _init_stage(rng, in_ch: int, out_ch: int) -> StageParams:
     # wide bounds: gelu roughly halves small signals, and each stage ends in
     # a channel standardization, so per-stage gain only has to stay O(1)
     conv = _uniform_linear(rng, out_ch, in_ch, gain=math.sqrt(6.0))
-    bound = 1.0
-    dw = LinearParams(Tensor(rng.uniform(-bound, bound, (out_ch, 3, 3)),
-                             requires_grad=True),
-                      Tensor(np.zeros(out_ch), requires_grad=True))
-    return StageParams(conv, dw)
+    return StageParams(conv, _uniform_taps(rng, out_ch, bound=1.0))
 
 
 def _standardize_channels(x: Tensor) -> Tensor:
@@ -81,22 +77,26 @@ def _standardize_channels(x: Tensor) -> Tensor:
     return layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)))
 
 
+def stage_sizes(h: int, w: int) -> list[tuple[int, int]]:
+    """The (height, width) of the stage maps of an h x w input, fine to
+    coarse: 1/4 ... 1/32 of it. Raises ConfigError unless h and w are
+    positive multiples of 32, so that every stage lands on an exact grid.
+    """
+    if h % 32 or w % 32 or h <= 0 or w <= 0:
+        raise ConfigError(f"input size ({h}, {w}) must be a positive multiple of 32")
+    return [(h >> (k + 2), w >> (k + 2)) for k in range(NUM_STAGES)]
+
+
 def toy_backbone(images: Tensor, stages: Sequence[StageParams]) -> tuple[Tensor, ...]:
     """Stride-2 feature extractor: pool, channel mix, depthwise, gelu per stage.
 
-    Returns the stage maps ordered fine to coarse (1/4 ... 1/32 of the
-    input). The input must be divisible by 32 so every stage lands on an
-    exact grid.
+    Returns the stage maps ordered fine to coarse, at `stage_sizes`.
     """
     if images.ndim != 4:
         raise ShapeError(f"expected B x C x H x W images, got {images.shape}")
-    _, _, h, w = images.shape
-    if h % 32 or w % 32:
-        raise ConfigError(f"input size ({h}, {w}) must be divisible by 32")
     feats = []
     current = images
-    for k, sp in enumerate(stages):
-        th, tw = h >> (k + 2), w >> (k + 2)
+    for (th, tw), sp in zip(stage_sizes(*images.shape[2:]), stages):
         current = adaptive_avg_pool(current, th, tw)
         current = gelu(conv1x1(current, sp.conv.w, sp.conv.b))
         current = gelu(depthwise_conv3x3(current, sp.dw.w, sp.dw.b))

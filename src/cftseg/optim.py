@@ -6,7 +6,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .checkpoint import _restore_arrays
 from .errors import ConfigError, DivergedError
 from .tensor import Tensor
 
@@ -94,17 +93,3 @@ class AdamW:
         raise DivergedError(f"non-finite {what} in {name}",
                             diagnostics={"reason": f"non-finite {what}",
                                          "parameter": name})
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for name in self.params:
-            out[f"adam_m/{name}"] = self.m[name]
-            out[f"adam_v/{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray],
-                          step_count: int) -> None:
-        _restore_arrays(arrays, "adam_m", self.m)
-        _restore_arrays(arrays, "adam_v", self.v)
-        self.step_count = step_count

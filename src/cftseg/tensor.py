@@ -38,6 +38,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def recording(*inputs: Tensor) -> bool:
+    """Whether an op on `inputs` leaves a tape record: gradients are
+    enabled and some input requires one."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 class OpRecord:
     """One recorded operation: its inputs and backward rule.
 
@@ -81,7 +87,7 @@ class Tensor:
                 backward: Callable[[Array], Sequence[Array]]) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+        out.requires_grad = recording(*inputs)
         out.op = OpRecord(op, inputs, backward) if out.requires_grad else None
         return out
 
@@ -109,8 +115,6 @@ class Tensor:
     # arithmetic sugar; the module-level functions hold the real rules
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         return mul(self, other)
@@ -151,7 +155,7 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     # y = 0.5 x (1 + t), written over t unless the backward needs t; both
     # paths run the same operations, so they give the same bits
-    y = np.add(t, 1.0, out=np.empty_like(t) if _GRAD_ENABLED and a.requires_grad else t)
+    y = np.add(t, 1.0, out=np.empty_like(t) if recording(a) else t)
     y *= x
     y *= 0.5
 

@@ -11,8 +11,8 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .checkpoint import (Checkpoint, _restore_arrays, load_checkpoint,
-                         model_state, save_checkpoint)
+from .checkpoint import (Checkpoint, load_checkpoint, model_state,
+                         restore_state, save_checkpoint)
 from .config import (VARIANT_CHOICES, TrainConfig, config_to_text, load_config,
                      parse_config_text)
 from .data import Dataset, gen_synthetic_dataset
@@ -49,11 +49,9 @@ class TrainResult:
         return self.rows[-1]
 
 
-def build_model(config: TrainConfig,
-                rng: np.random.Generator | None = None) -> SegModel:
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return SegModel(config.model_config(), variant=config.variant, rng=rng)
+def build_model(config: TrainConfig) -> SegModel:
+    return SegModel(config.model_config(), variant=config.variant,
+                    rng=np.random.default_rng(config.seed))
 
 
 def default_dataset(config: TrainConfig, seed: int | None = None) -> Dataset:
@@ -66,8 +64,7 @@ def default_dataset(config: TrainConfig, seed: int | None = None) -> Dataset:
 def model_from_checkpoint(ck: Checkpoint) -> tuple[SegModel, TrainConfig]:
     config = load_config(None, overrides=parse_config_text(ck.config_text))
     model = build_model(config)
-    _restore_arrays(ck.arrays, "param",
-                    {name: t.data for name, t in model.named_parameters().items()})
+    restore_state(ck, model.named_parameters())
     return model, config
 
 
@@ -138,9 +135,7 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
         ck = load_checkpoint(resume)
         if parse_config_text(ck.config_text) != parse_config_text(config_to_text(config)):
             raise ConfigError("checkpoint config does not match this run")
-        _restore_arrays(ck.arrays, "param",
-                        {name: t.data for name, t in params.items()})
-        optimizer.load_state_arrays(ck.arrays, step_count=ck.iteration)
+        restore_state(ck, params, optimizer)
         start = ck.iteration
         if start >= config.total_iters:
             raise ConfigError("checkpoint is already at or past total_iters")
@@ -171,11 +166,11 @@ def train(config: TrainConfig, out_dir, dataset: Dataset | None = None,
         if config.checkpoint_every and done % config.checkpoint_every == 0 \
                 and done < config.total_iters:
             ck = Checkpoint(iteration=done, config_text=config_echo,
-                            arrays=model_state(params, optimizer.state_arrays()))
+                            arrays=model_state(params, optimizer))
             save_checkpoint(out / f"checkpoint_{done:06d}.ckpt", ck)
 
     final = Checkpoint(iteration=config.total_iters, config_text=config_echo,
-                       arrays=model_state(params, optimizer.state_arrays()))
+                       arrays=model_state(params, optimizer))
     final_path = save_checkpoint(out / "checkpoint_final.ckpt", final)
     log_path = out / "train_log.csv"
     _write_log(log_path, rows)

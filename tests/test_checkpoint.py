@@ -13,6 +13,8 @@ import pytest
 
 import cftseg.checkpoint as C
 from cftseg.errors import CheckpointError
+from cftseg.model import ModelConfig, SegModel
+from cftseg.optim import AdamW
 
 
 def sample_checkpoint(seed=0):
@@ -164,16 +166,55 @@ def test_overwrite_replaces_content(tmp_path):
     assert list(back.arrays) == ["param/x"]
 
 
-def test_model_state_prefixes_names():
-    class Box:
-        def __init__(self, data):
-            self.data = data
+def trained_params(seed=0):
+    """A small model's parameters and an AdamW over them after two steps."""
+    config = ModelConfig(num_categories=3, embed_channels=8, num_heads=2,
+                         ffn_ratio=2, backbone_channels=(4, 6, 8, 10))
+    params = SegModel(config, rng=np.random.default_rng(seed)).named_parameters()
+    opt = AdamW(params)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(2):
+        opt.step({p: rng.standard_normal(p.shape) for p in params.values()}, lr=0.01)
+    return params, opt
 
-    params = {"layer.w": Box(np.ones((2, 2))), "layer.b": Box(np.zeros(2))}
-    opt = {"adam_m/layer.w": np.ones((2, 2)) * 0.5}
+
+def test_model_state_prefixes_names():
+    params, opt = trained_params()
+    assert list(C.model_state(params)) == [f"param/{name}" for name in params]
     state = C.model_state(params, opt)
-    assert set(state) == {"param/layer.w", "param/layer.b", "adam_m/layer.w"}
-    np.testing.assert_array_equal(state["param/layer.w"], 1.0)
+    assert list(state) == ([f"param/{name}" for name in params]
+                           + [f"adam_{which}/{name}" for name in params for which in "mv"])
+    for name, p in params.items():
+        assert state[f"param/{name}"] is p.data
+        assert state[f"adam_m/{name}"] is opt.m[name]
+        assert state[f"adam_v/{name}"] is opt.v[name]
+        assert opt.m[name].shape == opt.v[name].shape == p.shape
+
+
+def test_restore_state_round_trips_parameters_and_moments(tmp_path):
+    params, opt = trained_params(seed=3)
+    path = C.save_checkpoint(tmp_path / "m.ckpt", C.Checkpoint(
+        iteration=opt.step_count, config_text="", arrays=C.model_state(params, opt)))
+    fresh, fresh_opt = trained_params(seed=4)
+    C.restore_state(C.load_checkpoint(path), fresh, fresh_opt)
+    assert fresh_opt.step_count == 2
+    for name, p in params.items():
+        np.testing.assert_array_equal(fresh[name].data, p.data)
+        np.testing.assert_array_equal(fresh_opt.m[name], opt.m[name])
+        np.testing.assert_array_equal(fresh_opt.v[name], opt.v[name])
+
+
+def test_restore_state_refuses_a_missing_or_misshapen_array():
+    params, opt = trained_params()
+    arrays = {k: v.copy() for k, v in C.model_state(params, opt).items()}
+    ck = C.Checkpoint(iteration=2, config_text="", arrays=arrays)
+    del arrays["adam_v/decode.cls.b"]
+    with pytest.raises(CheckpointError, match="missing adam_v/decode.cls.b"):
+        C.restore_state(ck, params, opt)
+    C.restore_state(ck, params)  # parameters alone need no moments
+    arrays["param/decode.cls.b"] = np.zeros(4)
+    with pytest.raises(CheckpointError, match="shape mismatch for param/decode.cls.b"):
+        C.restore_state(ck, params)
 
 
 def npy_bytes(array):

@@ -301,6 +301,14 @@ class TestDiceAndFocal:
             loss(Tensor(np.zeros((1, 2, 3, 3))), target, np.full((1, 3, 3), 0.5))
 
     @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (2, 1, 3)])
+    def test_rejects_a_kept_pixel_mask_of_another_shape(self, loss, shape):
+        # both would broadcast against the (B, L, H, W) target
+        target = np.ones((2, 2, 3, 3))
+        with pytest.raises(ShapeError, match="kept-pixel mask"):
+            loss(Tensor(np.zeros((2, 2, 3, 3))), target, np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
     def test_no_kept_pixel_gives_zero(self, loss):
         target = np.ones((1, 2, 3, 3))
         valid = np.zeros((1, 3, 3), dtype=bool)

@@ -14,6 +14,7 @@ import cftseg.losses as L
 import cftseg.model as M
 import cftseg.tensor as T
 from scalar import dot
+from test_functional import OP_CASES
 
 
 def small_config(**kw):
@@ -293,18 +294,24 @@ def test_gradients_flow_to_every_parameter_after_warmup():
     assert not dead, dead
 
 
-@pytest.mark.parametrize("mask_mode", L.MASK_LOSS_MODES)
-@pytest.mark.parametrize("variant", VARIANT_CHOICES)
-def test_every_rule_returns_one_gradient_per_input(variant, mask_mode):
-    # the gradient contract: a rule returns every input's gradient, and
-    # only the sweep drops those of inputs that need none (the images, the
-    # backbone's fixed standardization, the decode head's zero bias)
+def traced_step(variant, mask_mode):
+    """A model, its input images and the loss of one training step."""
     model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(21))
     rng = np.random.default_rng(22)
     images = Tensor(rng.standard_normal((2, 3, 32, 32)))
     logits, masks = model(images)
     loss = L.total_loss(logits, masks, rng.integers(0, 4, size=(2, 32, 32)),
                         mask_mode=mask_mode).total
+    return model, images, loss
+
+
+@pytest.mark.parametrize("mask_mode", L.MASK_LOSS_MODES)
+@pytest.mark.parametrize("variant", VARIANT_CHOICES)
+def test_every_rule_returns_one_gradient_per_input(variant, mask_mode):
+    # the gradient contract: a rule returns every input's gradient, and
+    # only the sweep drops those of inputs that need none (the images, the
+    # backbone's fixed standardization, the decode head's zero bias)
+    model, images, loss = traced_step(variant, mask_mode)
     tape = T.trace(loss)
     for t in tape:
         grads = t.op.backward(np.ones(t.shape))
@@ -318,3 +325,10 @@ def test_every_rule_returns_one_gradient_per_input(variant, mask_mode):
     assert images not in grads
     assert not any(c in grads for c in constants)
     assert set(grads) == set(model.named_parameters().values())
+
+
+def test_every_recorded_op_has_a_gradient_case():
+    # so that no op lands on the tape without a finite-difference check
+    recorded = {t.op.op for variant in VARIANT_CHOICES for mode in L.MASK_LOSS_MODES
+                for t in T.trace(traced_step(variant, mode)[2])}
+    assert sorted(recorded - set(OP_CASES)) == []

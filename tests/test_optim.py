@@ -122,19 +122,6 @@ class TestAdamWClass:
             opt.step(T.backward(loss, leaves=list(params.values())), lr=0.05)
         assert loss_value().item() < first * 0.05
 
-    def test_state_arrays_round_trip(self):
-        params = self.driver(seed=3)
-        opt = O.AdamW(params)
-        grads = {p: np.ones(4) for p in params.values()}
-        opt.step(grads, lr=0.01)
-        saved = {k: a.copy() for k, a in opt.state_arrays().items()}
-
-        fresh = O.AdamW(self.driver(seed=3))
-        fresh.load_state_arrays(saved, step_count=opt.step_count)
-        np.testing.assert_array_equal(fresh.m["a"], opt.m["a"])
-        np.testing.assert_array_equal(fresh.v["b"], opt.v["b"])
-        assert fresh.step_count == 1
-
 
 class TestFlatAdamW:
     """Parameters and moments live in flat vectors; results match
@@ -182,15 +169,6 @@ class TestFlatAdamW:
                 np.testing.assert_array_equal(p.data, shadow[k], err_msg=k)
                 np.testing.assert_array_equal(opt.m[k], sm[k], err_msg=k)
                 np.testing.assert_array_equal(opt.v[k], sv[k], err_msg=k)
-
-    def test_state_array_keys_and_shapes_are_per_parameter(self):
-        params = self.model_params()
-        state = O.AdamW(params).state_arrays()
-        want = [f"adam_{which}/{name}" for name in params for which in "mv"]
-        assert list(state) == want
-        for name, p in params.items():
-            assert state[f"adam_m/{name}"].shape == p.shape
-            assert state[f"adam_v/{name}"].shape == p.shape
 
     def test_non_finite_gradient_updates_nothing(self):
         params = TestAdamWClass.driver(seed=4)
