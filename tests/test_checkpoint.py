@@ -188,7 +188,6 @@ def test_model_state_prefixes_names():
         assert state[f"param/{name}"] is p.data
         assert state[f"adam_m/{name}"] is opt.m[name]
         assert state[f"adam_v/{name}"] is opt.v[name]
-        assert opt.m[name].shape == opt.v[name].shape == p.shape
 
 
 def test_restore_state_round_trips_parameters_and_moments(tmp_path):

@@ -170,6 +170,18 @@ class TestFlatAdamW:
                 np.testing.assert_array_equal(opt.m[k], sm[k], err_msg=k)
                 np.testing.assert_array_equal(opt.v[k], sv[k], err_msg=k)
 
+    def test_state_array_keys_and_shapes_are_per_parameter(self):
+        from cftseg.checkpoint import model_state
+        params = self.model_params()
+        opt = O.AdamW(params)
+        state = {k: a for k, a in model_state(params, opt).items()
+                 if k.startswith("adam_")}
+        want = [f"adam_{which}/{name}" for name in params for which in "mv"]
+        assert list(state) == want
+        for name, p in params.items():
+            assert state[f"adam_m/{name}"].shape == p.shape
+            assert state[f"adam_v/{name}"].shape == p.shape
+
     def test_non_finite_gradient_updates_nothing(self):
         params = TestAdamWClass.driver(seed=4)
         opt = O.AdamW(params)
