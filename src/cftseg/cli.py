@@ -20,12 +20,18 @@ from .errors import CheckpointError, DivergedError
 from .flops import count_flops
 
 
-def _add_common(parser: argparse.ArgumentParser, out_default: str) -> None:
+# config keys a verb may override by flag, and their flags' arguments
+_OVERRIDES = {"seed": {"type": int},
+              "variant": {"help": "aggregation variant override"}}
+
+
+def _add_common(parser: argparse.ArgumentParser, out_default: str,
+                *overrides: str) -> None:
+    """--config, --out and a flag per config key in `overrides` that the verb reads."""
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--variant", default=None,
-                        help="aggregation variant override")
+    for key in overrides:
+        parser.add_argument(f"--{key}", default=None, **_OVERRIDES[key])
     parser.add_argument("--out", type=Path, default=Path(out_default))
 
 
@@ -34,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("train", help="train on synthetic data")
-    _add_common(p, "runs/train")
+    _add_common(p, "runs/train", "seed", "variant")
     p.add_argument("--resume", type=Path, default=None,
                    help="checkpoint to continue from")
     p.add_argument("--data", type=Path, default=None,
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("ablate", help="train and score aggregation variants")
-    _add_common(p, "runs/ablate")
+    _add_common(p, "runs/ablate", "seed", "variant")
     p.add_argument("--mask-modes", default=None,
                    help="comma list from cumulative,final,off")
 
@@ -58,20 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("flops", help="count multiply-adds and parameters")
-    _add_common(p, "-")
+    _add_common(p, "-", "variant")
     p.add_argument("--size", type=int, default=128, help="square input size")
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
-    _add_common(p, "runs/data")
+    _add_common(p, "runs/data", "seed")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.variant is not None:
-        overrides["variant"] = args.variant
+    overrides = {key: str(getattr(args, key)) for key in _OVERRIDES
+                 if getattr(args, key, None) is not None}
     return load_config(args.config, overrides=overrides)
 
 

@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .blocks import _WIRINGS, _Wiring
 from .model import NUM_STAGES, ModelConfig, SegModel, stage_sizes
 
 
-def conv1x1_flops(batch: int, c_in: int, h: int, w: int, c_out: int) -> int:
-    return batch * h * w * c_in * c_out
+def conv1x1_flops(c_in: int, h: int, w: int, c_out: int) -> int:
+    return h * w * c_in * c_out
 
 
-def depthwise3x3_flops(batch: int, channels: int, h: int, w: int) -> int:
-    return batch * h * w * channels * 9
+def depthwise3x3_flops(channels: int, h: int, w: int) -> int:
+    return h * w * channels * 9
 
 
 def attention_flops(n_q: int, n_k: int, channels: int) -> int:
@@ -39,7 +38,6 @@ def attention_flops(n_q: int, n_k: int, channels: int) -> int:
 class FlopsReport:
     variant: str
     input_hw: tuple[int, int]
-    batch: int
     flops: dict[str, int] = field(default_factory=dict)
     params: dict[str, int] = field(default_factory=dict)
 
@@ -58,7 +56,6 @@ class FlopsReport:
     def as_dict(self) -> dict:
         return {"variant": self.variant,
                 "input_hw": list(self.input_hw),
-                "batch": self.batch,
                 "flops": dict(self.flops),
                 "params": dict(self.params),
                 "total_flops": self.total_flops,
@@ -96,11 +93,9 @@ def _block_flops(wiring: _Wiring, n_lo: int, n_hi: int, n_kv: int,
 
 
 def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
-                variant: str = "cft", batch: int = 1) -> FlopsReport:
-    """Per-module FLOPs/params for a model config and variant at the given input."""
+                variant: str = "cft") -> FlopsReport:
+    """Per-module FLOPs/params for one image of a model config and variant."""
     model = SegModel(config, variant, rng=_ZeroDraws())
-    if batch < 1:
-        raise ConfigError("batch must be at least 1")
 
     sizes = stage_sizes(*input_hw)
     counts = [h * w for h, w in sizes]
@@ -111,20 +106,20 @@ def count_flops(config: ModelConfig, input_hw: tuple[int, int] = (128, 128),
     for k in range(NUM_STAGES):
         h, w = sizes[k]
         c_in, c_out = in_chain[k], in_chain[k + 1]
-        flops[f"backbone.s{k + 1}"] = (conv1x1_flops(batch, c_in, h, w, c_out)
-                                       + depthwise3x3_flops(batch, c_out, h, w))
-        flops[f"lateral.s{k + 1}"] = conv1x1_flops(batch, c_out, h, w, c)
+        flops[f"backbone.s{k + 1}"] = (conv1x1_flops(c_in, h, w, c_out)
+                                       + depthwise3x3_flops(c_out, h, w))
+        flops[f"lateral.s{k + 1}"] = conv1x1_flops(c_out, h, w, c)
 
     for i in range(NUM_STAGES - 1, 0, -1):
-        flops[f"aggregate.s{i}"] = 0 if variant == "none" else batch * _block_flops(
+        flops[f"aggregate.s{i}"] = 0 if variant == "none" else _block_flops(
             _WIRINGS[variant], counts[i - 1], counts[i], counts[-1], c, l, ratio)
 
     # the head classifies every stage at its own size (see model.decode_head)
-    flops["decode"] = sum(conv1x1_flops(batch, c, h, w, l) for h, w in sizes)
+    flops["decode"] = sum(conv1x1_flops(c, h, w, l) for h, w in sizes)
     params = dict.fromkeys(flops, 0)
     for name, tensor in model.named_parameters().items():
         # `lateral.s2.w` -> `lateral.s2`, `block.s3.w_q.w` -> `aggregate.s3`
         module, stage = name.replace("block.", "aggregate.", 1).split(".")[:2]
         params[module if module == "decode" else f"{module}.{stage}"] += tensor.size
-    return FlopsReport(variant=variant, input_hw=tuple(input_hw), batch=batch,
-                       flops=flops, params=params)
+    return FlopsReport(variant=variant, input_hw=tuple(input_hw), flops=flops,
+                       params=params)

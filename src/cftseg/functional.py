@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+def _check_map(x: Tensor, op: str) -> None:
+    """Raise ShapeError unless x is a 4-d map with no empty axis."""
+    if x.ndim != 4 or x.size == 0:
+        raise ShapeError(f"{op} expects a non-empty 4-d map, got {x.shape}")
+
+
 def _channel_mix(x: Tensor, w: Tensor, bias: Tensor, op: str) -> Tensor:
     """y[:, o, ...] = sum_c w[o, c] x[:, c, ...] + b[o] over a (B, C, ...) array."""
     if w.ndim != 2 or w.shape[1] != x.shape[1]:
@@ -53,8 +59,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Pointwise convolution: a per-position channel mix of a B x C x H x W map."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv1x1 expects a 4-d map, got {x.shape}")
+    _check_map(x, "conv1x1")
     return _channel_mix(x, w, bias, "conv1x1")
 
 
@@ -87,7 +92,7 @@ def _tap_windows(src: Array):
     q = 8 // math.gcd(h, 8)
     p = -(-(w + 2) // q) * q
     n_row, n_out = (h + 2) * p + 2, b * h * p
-    step = max(1, min(c, _DW_BLOCK // max(1, 9 * n_out)))
+    step = max(1, min(c, _DW_BLOCK // (9 * n_out)))
     n_pad, n_win = step * b * n_row, 9 * step * n_out
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < n_pad + n_win + step * n_out:
@@ -115,8 +120,7 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     of the per-channel taps with a block's tap windows (im2col, blocked so
     the working set stays in cache) sums the nine taps of its pixels.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"depthwise_conv3x3 expects a 4-d map, got {x.shape}")
+    _check_map(x, "depthwise_conv3x3")
     b_, c_, h_, w_ = x.shape
     if w.shape != (c_, 3, 3):
         raise ShapeError(f"depthwise weight must have shape ({c_}, 3, 3), got {w.shape}")
@@ -190,16 +194,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     and exponentiated. The blocks are kept for the backward only when
     recording; the backward never forms the weights' own gradient.
     """
-    if q.ndim != 4 or k.ndim != 3:
-        raise ShapeError(f"attention takes a 4-d query map and 3-d key/value sets, "
-                         f"got q {q.shape}, k {k.shape}")
+    _check_map(q, "attention")
     b, c, h, w = q.shape
     if heads < 1 or c % heads:
         raise ConfigError(f"query width {c} must divide into a positive number "
                           f"of heads, got {heads}")
-    if k.shape != v.shape or k.shape[:2] != (b, c):
-        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}")
+    if k.ndim != 3 or k.shape != v.shape or k.shape[:2] != (b, c) or k.shape[2] == 0:
+        raise ShapeError(f"attention takes non-empty (B, C, M) key and value sets "
+                         f"that match the queries: q {q.shape}, k {k.shape}, v {v.shape}")
     groups, dh, m, n = b * heads, c // heads, k.shape[2], h * w
     qh = q.data.reshape(groups, dh, n)
     scale = 1.0 / math.sqrt(dh)
@@ -266,8 +268,7 @@ _LN_EPS = 1e-6
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the channels of a B x C x H x W map per position, then affine."""
-    if x.ndim != 4:
-        raise ShapeError(f"layer_norm expects a 4-d map, got {x.shape}")
+    _check_map(x, "layer_norm")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine params must have shape ({c},), "
@@ -340,8 +341,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     Same-size calls reproduce the input exactly; edges clamp to the
     nearest source pixel.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"bilinear_resize expects a 4-d map, got {x.shape}")
+    _check_map(x, "bilinear_resize")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target must be positive, got ({out_h}, {out_w})")
     _, _, h, w = x.shape
@@ -355,8 +355,7 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     Window o covers input rows [floor(o*H/out), ceil((o+1)*H/out)), the
     usual adaptive partition; same-size calls are an exact identity.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool expects a 4-d map, got {x.shape}")
+    _check_map(x, "adaptive_avg_pool")
     _, _, h, w = x.shape
     if not (1 <= out_h <= h) or not (1 <= out_w <= w):
         raise ShapeError(f"adaptive_avg_pool target ({out_h}, {out_w}) must lie in "

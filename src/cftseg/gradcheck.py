@@ -40,11 +40,15 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4,
     return grad.reshape(x.shape)
 
 
-def max_rel_error(analytic: Array, numeric: Array, floor: float = 1e-3) -> float:
+# magnitude below which max_rel_error divides by this floor instead
+_REL_FLOOR = 1e-3
+
+
+def max_rel_error(analytic: Array, numeric: Array) -> float:
     """Worst relative disagreement, with a floor so near-zero pairs compare sanely."""
     a = np.asarray(analytic, dtype=np.float64)
     b = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _REL_FLOOR)
     return float((np.abs(a - b) / denom).max())
 
 
@@ -62,7 +66,6 @@ class GradCheckRow:
 def check_gradients(loss_fn: Callable[[], Tensor],
                     params: Mapping[str, Tensor],
                     coords_per_tensor: int = 4,
-                    h: float = 1e-4,
                     seed: int = 0) -> list[GradCheckRow]:
     """Compare taped gradients against finite differences, group by group.
 
@@ -79,7 +82,7 @@ def check_gradients(loss_fn: Callable[[], Tensor],
         n = p.size if p.size <= coords_per_tensor else coords_per_tensor
         coords = (np.arange(p.size) if p.size <= coords_per_tensor
                   else rng.choice(p.size, size=n, replace=False))
-        numeric = finite_diff_grad(lambda _: loss_fn(), p, h, coords).reshape(-1)
+        numeric = finite_diff_grad(lambda _: loss_fn(), p, coords=coords).reshape(-1)
         rows.append(GradCheckRow(name, int(n),
                                  max_rel_error(analytic[coords], numeric[coords])))
     return rows

@@ -126,8 +126,6 @@ def top_down_aggregate(laterals: Sequence[Tensor],
         raise ConfigError(f"expected {NUM_STAGES} lateral maps, got {len(laterals)}")
     if variant == "none":
         return list(laterals), []
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     if len(blocks) != NUM_STAGES - 1:
         raise ConfigError(f"expected {NUM_STAGES - 1} fusion blocks, got {len(blocks)}")
     pool_hw = laterals[-1].shape[2:]

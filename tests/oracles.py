@@ -1,4 +1,4 @@
-"""Independent loop-based reference implementations for the fusion blocks.
+"""Independent loop-based reference implementations for the ops and fusion blocks.
 
 Everything here works on plain numpy arrays with explicit loops and
 never calls into the package's op implementations, so agreement with
@@ -16,36 +16,46 @@ def lin(p):
     return p.w.data, p.b.data
 
 
+def affine(norm):
+    return norm.gamma.data, norm.beta.data
+
+
 def gelu_o(x):
     return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + 0.044715 * x ** 3)))
 
 
-def layer_norm_rows_o(rows, norm, eps=1e-6):
+# The map oracles take one (C, H, W) image or a (B, C, H, W) batch: they
+# loop over channels and pixels and index the leading axes with `...`.
+
+
+def layer_norm_rows_o(rows, gamma, beta, eps=1e-6):
     """Normalize each row of an (N, C) matrix, then apply the affine pair."""
     out = np.empty_like(rows)
-    g, b = norm.gamma.data, norm.beta.data
     for r in range(rows.shape[0]):
         row = rows[r]
         m = row.mean()
         v = ((row - m) ** 2).mean()
-        out[r] = (row - m) / np.sqrt(v + eps) * g + b
+        out[r] = (row - m) / np.sqrt(v + eps) * gamma + beta
     return out
 
 
-def layer_norm_map_o(x, norm, eps=1e-6):
-    """Channel-wise normalization of a (C, H, W) map, position by position."""
-    c, h, w = x.shape
-    return layer_norm_rows_o(x.reshape(c, h * w).T, norm, eps).T.reshape(c, h, w)
+def layer_norm_map_o(x, gamma, beta, eps=1e-6):
+    """Channel-wise normalization of a map, position by position."""
+    moved = np.moveaxis(x, -3, -1)
+    rows = layer_norm_rows_o(moved.reshape(-1, moved.shape[-1]), gamma, beta, eps)
+    return np.moveaxis(rows.reshape(moved.shape), -1, -3)
 
 
-def conv1x1_o(x, p):
-    w, b = lin(p)
-    c, h, wd = x.shape
-    return (w @ x.reshape(c, h * wd)).reshape(w.shape[0], h, wd) + b[:, None, None]
+def conv1x1_o(x, w, b):
+    *lead, c, h, wd = x.shape
+    out = np.empty((*lead, w.shape[0], h, wd))
+    for n in np.ndindex(*lead):
+        out[n] = (w @ x[n].reshape(c, h * wd)).reshape(w.shape[0], h, wd) + b[:, None, None]
+    return out
 
 
 def depthwise_o(x, w, b):
-    c, h, wd = x.shape
+    c, h, wd = x.shape[-3:]
     out = np.zeros_like(x)
     for ch in range(c):
         for i in range(h):
@@ -55,63 +65,88 @@ def depthwise_o(x, w, b):
                     for dj in range(3):
                         si, sj = i + di - 1, j + dj - 1
                         if 0 <= si < h and 0 <= sj < wd:
-                            acc += w[ch, di, dj] * x[ch, si, sj]
-                out[ch, i, j] = acc + b[ch]
+                            acc += w[ch, di, dj] * x[..., ch, si, sj]
+                out[..., ch, i, j] = acc + b[ch]
     return out
 
 
+def depthwise_grad_o(x, w, g):
+    """(gx, gw, gb) of depthwise_o under upstream gradient g, pixel by
+    pixel; gw and gb sum over the images of a batch."""
+    c, h, wd = x.shape[-3:]
+    gx, gw, gb = np.zeros_like(x), np.zeros((c, 3, 3)), np.zeros(c)
+    for ch in range(c):
+        for i in range(h):
+            for j in range(wd):
+                gb[ch] += g[..., ch, i, j].sum()
+                for di in range(3):
+                    for dj in range(3):
+                        si, sj = i + di - 1, j + dj - 1
+                        if 0 <= si < h and 0 <= sj < wd:
+                            gx[..., ch, si, sj] += w[ch, di, dj] * g[..., ch, i, j]
+                            gw[ch, di, dj] += (g[..., ch, i, j] * x[..., ch, si, sj]).sum()
+    return gx, gw, gb
+
+
 def bilinear_o(x, out_h, out_w):
-    c, h, w = x.shape
-    out = np.zeros((c, out_h, out_w))
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (out_h, out_w))
     for oi in range(out_h):
         sy = min(max((oi + 0.5) * h / out_h - 0.5, 0.0), h - 1.0)
         y0 = int(np.floor(sy)); y1 = min(y0 + 1, h - 1); fy = sy - y0
         for oj in range(out_w):
             sx = min(max((oj + 0.5) * w / out_w - 0.5, 0.0), w - 1.0)
             x0 = int(np.floor(sx)); x1 = min(x0 + 1, w - 1); fx = sx - x0
-            out[:, oi, oj] = ((1 - fy) * (1 - fx) * x[:, y0, x0]
-                              + (1 - fy) * fx * x[:, y0, x1]
-                              + fy * (1 - fx) * x[:, y1, x0]
-                              + fy * fx * x[:, y1, x1])
+            out[..., oi, oj] = ((1 - fy) * (1 - fx) * x[..., y0, x0]
+                                + (1 - fy) * fx * x[..., y0, x1]
+                                + fy * (1 - fx) * x[..., y1, x0]
+                                + fy * fx * x[..., y1, x1])
     return out
 
 
 def pool_o(x, out_h, out_w):
-    c, h, w = x.shape
-    out = np.zeros((c, out_h, out_w))
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (out_h, out_w))
     for oi in range(out_h):
         r0, r1 = (oi * h) // out_h, int(np.ceil((oi + 1) * h / out_h))
         for oj in range(out_w):
             c0, c1 = (oj * w) // out_w, int(np.ceil((oj + 1) * w / out_w))
-            out[:, oi, oj] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
+            out[..., oi, oj] = x[..., r0:r1, c0:c1].mean(axis=(-2, -1))
     return out
 
 
-def mha_o(q, k, v, params):
-    """Multi-head attention, one head and one query at a time."""
-    n, c = q.shape
-    m = k.shape[0]
-    heads = params.heads
+def attention_o(q, k, v, heads):
+    """Multi-head attention of (..., C, N) queries over (..., C, M) keys and
+    values: per head and query, the softmax of the scaled dot products
+    over the keys weighs the values."""
+    c, n = q.shape[-2:]
+    m = k.shape[-1]
     dh = c // heads
-    ctx = np.zeros((n, c))
+    ctx = np.zeros_like(q)
     for hh in range(heads):
         sl = slice(hh * dh, (hh + 1) * dh)
-        qs, ks, vs = q[:, sl], k[:, sl], v[:, sl]
+        qs, ks, vs = q[..., sl, :], k[..., sl, :], v[..., sl, :]
         for i in range(n):
-            scores = np.array([qs[i] @ ks[j] for j in range(m)]) / math.sqrt(dh)
-            w = np.exp(scores - scores.max())
-            w /= w.sum()
-            ctx[i, sl] = sum(w[j] * vs[j] for j in range(m))
+            scores = np.stack([(qs[..., i] * ks[..., j]).sum(axis=-1) for j in range(m)],
+                              axis=-1) / math.sqrt(dh)
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            ctx[..., sl, i] = sum(w[..., j, None] * vs[..., j] for j in range(m))
+    return ctx
+
+
+def mha_o(q, k, v, params):
+    """Multi-head attention of one sample's (N, C) rows, then the output projection."""
     wo, bo = lin(params.w_o)
-    return ctx @ wo.T + bo
+    return attention_o(q.T, k.T, v.T, params.heads).T @ wo.T + bo
 
 
 def embedding_o(f, params):
     """Category embedding for a single (C, H, W) sample: (L, C) plus mask logits."""
     c, h, w = f.shape
-    normed = layer_norm_map_o(f, params.norm_embed)
-    mask_logits = conv1x1_o(normed, params.phi_mask)
-    feats = conv1x1_o(normed, params.phi_feat)
+    normed = layer_norm_map_o(f, *affine(params.norm_embed))
+    mask_logits = conv1x1_o(normed, *lin(params.phi_mask))
+    feats = conv1x1_o(normed, *lin(params.phi_feat))
     num_cat = mask_logits.shape[0]
     emb = np.zeros((num_cat, c))
     flat_feats = feats.reshape(c, h * w)
@@ -127,7 +162,7 @@ def embedding_o(f, params):
 def ffn_o(tokens, h, w, params):
     we, be = lin(params.ffn_expand)
     wp, bp = lin(params.ffn_project)
-    hidden = layer_norm_rows_o(tokens, params.norm_ffn) @ we.T + be
+    hidden = layer_norm_rows_o(tokens, *affine(params.norm_ffn)) @ we.T + be
     spatial = hidden.T.reshape(hidden.shape[1], h, w)
     spatial = gelu_o(depthwise_o(spatial, params.ffn_dw.w.data, params.ffn_dw.b.data))
     return spatial.reshape(hidden.shape[1], h * w).T @ wp.T + bp
@@ -137,7 +172,7 @@ def _attend_tokens_o(tokens, kv_rows, params):
     wq, bq = lin(params.w_q)
     wk, bk = lin(params.w_k)
     wv, bv = lin(params.w_v)
-    q = layer_norm_rows_o(tokens, params.norm_query) @ wq.T + bq
+    q = layer_norm_rows_o(tokens, *affine(params.norm_query)) @ wq.T + bq
     k = kv_rows @ wk.T + bk
     v = kv_rows @ wv.T + bv
     return mha_o(q, k, v, params)
@@ -159,7 +194,7 @@ def cft_block_o(f_high, x_low, params):
 
 def _kv_rows_o(source_map, params):
     c = source_map.shape[0]
-    return layer_norm_map_o(source_map, params.norm_embed).reshape(c, -1).T
+    return layer_norm_map_o(source_map, *affine(params.norm_embed)).reshape(c, -1).T
 
 
 def variant_naive_o(f_high, x_low, params):

@@ -101,6 +101,15 @@ def test_flops_report(tiny_cfg, capsys):
     assert "aggregate.s3" in report["flops"]
 
 
+@pytest.mark.parametrize("argv", [["flops", "--seed", "3"], ["gen-data", "--variant", "naive"]])
+def test_a_verb_refuses_a_flag_it_would_ignore(argv, tiny_cfg, capsys):
+    # the FLOP count does not depend on the seed, nor the data on the variant
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(tiny_cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_flops_variant_flag(tiny_cfg, capsys):
     assert main(["flops", "--config", str(tiny_cfg), "--size", "64",
                  "--variant", "naive"]) == 0

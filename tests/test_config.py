@@ -137,7 +137,7 @@ def train_configs(draw):
         log_every=draw(st.integers(1, 1000)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(train_configs())
 def test_text_round_trip_reproduces_any_valid_config(cfg):
     text = CF.config_to_text(cfg)

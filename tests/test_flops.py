@@ -20,8 +20,8 @@ def desk_config():
 
 
 def test_primitive_definitions():
-    assert FL.conv1x1_flops(2, 8, 4, 4, 16) == 2 * 4 * 4 * 8 * 16
-    assert FL.depthwise3x3_flops(1, 8, 4, 4) == 8 * 16 * 9
+    assert FL.conv1x1_flops(8, 4, 4, 16) == 4 * 4 * 8 * 16
+    assert FL.depthwise3x3_flops(8, 4, 4) == 8 * 16 * 9
     assert FL.attention_flops(10, 4, 32) == 2 * 10 * 4 * 32
 
 
@@ -31,14 +31,6 @@ def test_totals_are_sums_of_parts():
     assert rep.total_params == sum(rep.params.values())
     assert rep.aggregation_flops == sum(
         rep.flops[f"aggregate.s{i}"] for i in (1, 2, 3))
-
-
-def test_flops_linear_in_batch_params_invariant():
-    one = FL.count_flops(desk_config(), (64, 64), "naive", batch=1)
-    two = FL.count_flops(desk_config(), (64, 64), "naive", batch=2)
-    for key in one.flops:
-        assert two.flops[key] == 2 * one.flops[key]
-    assert two.params == one.params
 
 
 def test_backbone_stage_hand_count():
@@ -130,13 +122,10 @@ def test_input_validation():
         FL.count_flops(desk_config(), (48, 64), "cft")
     with pytest.raises(ConfigError):
         FL.count_flops(desk_config(), (64, 64), "bogus")
-    with pytest.raises(ConfigError):
-        FL.count_flops(desk_config(), (64, 64), "cft", batch=0)
 
 
 def test_report_as_dict_is_json_friendly():
-    rep = FL.count_flops(desk_config(), (64, 64), "cft", batch=2)
+    rep = FL.count_flops(desk_config(), (64, 64), "cft")
     d = rep.as_dict()
     assert d["total_flops"] == rep.total_flops
-    assert d["batch"] == 2
     assert set(d["flops"]) == set(d["params"])

@@ -416,7 +416,7 @@ def loss_cases(draw):
     return logits, labels, target
 
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)
 
 
 def _gradient_error(loss_fn, logits):

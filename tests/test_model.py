@@ -209,11 +209,17 @@ def test_parameter_names_are_pinned():
                       "c": 86, "none": 26}
 
 
-@pytest.mark.parametrize("variant", B.VARIANTS + ("none",))
-def test_no_grad_forward_equals_the_recorded_forward_bit_for_bit(variant):
+# every variant at 64 px, where each attention runs one block of queries;
+# naive at 128 px attends stage 1's 1,024 queries over 256 keys in 16 blocks
+BIT_CASES = ([pytest.param(v, 64, id=v) for v in B.VARIANTS + ("none",)]
+             + [pytest.param("naive", 128, id="naive-128px")])
+
+
+@pytest.mark.parametrize("variant,size", BIT_CASES)
+def test_no_grad_forward_equals_the_recorded_forward_bit_for_bit(variant, size):
     model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(5),
                        zero_residual_paths=False)
-    images = Tensor(np.random.default_rng(6).standard_normal((2, 3, 64, 64)))
+    images = Tensor(np.random.default_rng(6).standard_normal((2, 3, size, size)))
     logits, masks = model(images)
     with T.no_grad():
         plain_logits, plain_masks = model(images)
@@ -223,13 +229,13 @@ def test_no_grad_forward_equals_the_recorded_forward_bit_for_bit(variant):
         assert plain.data.tobytes() == recorded.data.tobytes()
 
 
-@pytest.mark.parametrize("variant", B.VARIANTS + ("none",))
-def test_an_image_gets_the_same_bits_alone_and_in_a_batch(variant):
+@pytest.mark.parametrize("variant,size", BIT_CASES)
+def test_an_image_gets_the_same_bits_alone_and_in_a_batch(variant, size):
     # evaluate sizes its forwards by pixel count; its report may not depend
     # on which images share a forward
     model = M.SegModel(small_config(), variant=variant, rng=np.random.default_rng(7),
                        zero_residual_paths=False)
-    images = np.random.default_rng(8).standard_normal((3, 3, 64, 64))
+    images = np.random.default_rng(8).standard_normal((3, 3, size, size))
     with T.no_grad():
         logits, masks = model(Tensor(images))
         for b in range(len(images)):

@@ -9,6 +9,7 @@ from cftseg import tensor as T
 import cftseg.functional as F
 from oracles import GELU_C, gelu_o
 from scalar import dot
+from test_functional import check_op_gradient
 
 
 def test_tensor_wraps_float64_copy():
@@ -212,15 +213,6 @@ def test_replay_same_graph_is_bit_identical():
 class TestElementwiseGradients:
     """Each rule against central differences on smooth random points."""
 
-    def _check(self, fn, x_data, atol=1e-8):
-        x = Tensor(x_data, requires_grad=True)
-        w = np.random.default_rng(0).standard_normal(x_data.shape)
-        loss_fn = lambda t: dot(fn(t), w)
-        grads = backward(loss_fn(x))
-        from cftseg import finite_diff_grad
-        numeric = finite_diff_grad(loss_fn, x)
-        np.testing.assert_allclose(grads[x], numeric, atol=atol)
-
     @staticmethod
     def _numeric(fn, x, h=1e-5):
         return (fn(x + h) - fn(x - h)) / (2.0 * h)
@@ -240,7 +232,7 @@ class TestElementwiseGradients:
         np.testing.assert_allclose(T.sigmoid_parts(x)[1], numeric, atol=1e-9)
 
     def test_gelu(self):
-        self._check(T.gelu, np.linspace(-3, 3, 13))
+        check_op_gradient("gelu", ((13,),))
 
 
 def test_sigmoid_saturates_without_overflow():
