@@ -98,7 +98,7 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Raw key -> value strings from flat `key = value` lines."""
+    """Raw key -> value strings from flat `key = value` lines, each key once."""
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -109,6 +109,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in pairs:
+            raise ConfigError(f"line {lineno}: config key {key!r} is set twice")
         pairs[key] = value
     return pairs
 

@@ -52,8 +52,8 @@ def _channel_mix(x: Tensor, w: Tensor, bias: Tensor, op: str) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Channel mix of a B x C x M set (the key/value projection): w @ x + b."""
-    if x.ndim != 3:
-        raise ShapeError(f"linear expects a 3-d set, got {x.shape}")
+    if x.ndim != 3 or x.size == 0:
+        raise ShapeError(f"linear expects a non-empty 3-d set, got {x.shape}")
     return _channel_mix(x, w, bias, "linear")
 
 
@@ -159,6 +159,8 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
+    if x.size == 0:
+        raise ShapeError(f"softmax expects a non-empty array, got {x.shape}")
     axis = axis % x.ndim
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)

@@ -1,6 +1,7 @@
 """CLI behavior: verbs, config precedence, error reporting, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,12 @@ ffn_ratio = 2
 backbone_channels = 4,6,8,10
 n_images = 2
 """
+
+
+def tiny_with(line):
+    """TINY with `line` in place of the line that sets the same key."""
+    key = line.split("=")[0].strip()
+    return re.sub(rf"^{key} = .*$", line, TINY, flags=re.M)
 
 
 @pytest.fixture()
@@ -147,10 +154,20 @@ def test_bad_config_key_is_one_json_error_line(tmp_path, capsys):
     assert "no_such_knob" in payload["message"]
 
 
+def test_duplicate_config_key_is_one_json_error_line(tiny_cfg, capsys):
+    # flags replace file values, but a file sets each key once
+    tiny_cfg.write_text(TINY + "num_heads = 4\n")
+    assert main(["flops", "--config", str(tiny_cfg), "--size", "64"]) == 2
+    (err,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == "line 12: config key 'num_heads' is set twice"
+
+
 @pytest.mark.parametrize("verb", ["flops", "train"])
 def test_zero_heads_is_json_error(verb, tiny_cfg, tmp_path, capsys):
     path = tmp_path / "zero.cfg"
-    path.write_text(TINY + "num_heads = 0\n")
+    path.write_text(tiny_with("num_heads = 0"))
     assert main([verb, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -163,7 +180,7 @@ def test_zero_heads_is_json_error(verb, tiny_cfg, tmp_path, capsys):
                                   "embed_channels = 0"])
 def test_bad_model_field_is_refused_before_any_output(line, tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text(TINY + line + "\n")
+    path.write_text(tiny_with(line))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert not (tmp_path / "run").exists()

@@ -63,6 +63,11 @@ def test_malformed_line_rejected():
         CF.parse_config_text("baselr 0.002")
 
 
+def test_duplicate_key_rejected_with_its_line():
+    with pytest.raises(ConfigError, match="line 3: config key 'seed' is set twice"):
+        CF.parse_config_text("seed = 1\nbaselr = 0.002\nseed = 2\n")
+
+
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("total_iters = soon\n")

@@ -79,6 +79,20 @@ def test_map_ops_refuse_empty_maps(op, shape):
         MAP_OPS[op](Tensor(np.zeros(shape)))
 
 
+SET_OPS = {
+    "linear": lambda x: F.linear(x, Tensor(np.ones((2, x.shape[1]))), Tensor(np.zeros(2))),
+    "softmax": lambda x: F.softmax(x, 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 2, 0)],
+                         ids=["zero-batch", "zero-channels", "zero-positions"])
+@pytest.mark.parametrize("op", sorted(SET_OPS))
+def test_set_ops_refuse_empty_inputs(op, shape):
+    with pytest.raises(ShapeError, match="non-empty"):
+        SET_OPS[op](Tensor(np.zeros(shape)))
+
+
 # --------------------------------------------------------------------------
 # depthwise 3x3
 
@@ -422,30 +436,17 @@ def test_attention_of_drawn_shapes_matches_loop_oracles(b, heads, dh, h, w, m, d
     # to H*W queries, so the last block may be partial
     width = data.draw(st.integers(1, h * w), label="queries per block")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
-               for shape in ((b, heads * dh, h, w), (b, heads * dh, m), (b, heads * dh, m)))
-    proj = rng.standard_normal(q.shape)
-
-    def loss_fn(_=None):
-        return dot(F.attention(q, k, v, heads), proj)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(F, "_ATTN_BLOCK", width * m)
-        y = F.attention(q, k, v, heads)
-        with T.no_grad():
-            assert F.attention(q, k, v, heads).data.tobytes() == y.data.tobytes()
-            for n in range(b):
-                # evaluate may forward an image alone or in a batch
-                alone = F.attention(*(Tensor(t.data[n:n + 1]) for t in (q, k, v)), heads)
-                assert alone.data.tobytes() == y.data[n:n + 1].tobytes()
-        grads = backward(loss_fn())
-        # drawn scores can be steep enough that the default step's
-        # truncation error reaches 1e-8; at 1e-5 it is near 1e-10
-        numeric = [finite_diff_grad(loss_fn, t, h=1e-5) for t in (q, k, v)]
+    attend, arrays = OP_CASES["attention"].build(rng, b, heads, dh, h, w, m, width)
+    q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+    y = attend(q, k, v)
+    with T.no_grad():
+        assert attend(q, k, v).data.tobytes() == y.data.tobytes()
+        for n in range(b):
+            # evaluate may forward an image alone or in a batch
+            alone = attend(*(Tensor(t.data[n:n + 1]) for t in (q, k, v)))
+            assert alone.data.tobytes() == y.data[n:n + 1].tobytes()
     want = O.attention_o(q.data.reshape(b, heads * dh, h * w), k.data, v.data, heads)
     np.testing.assert_allclose(y.data, want.reshape(q.shape), rtol=0, atol=1e-12)
-    for t, want in zip((q, k, v), numeric):
-        np.testing.assert_allclose(grads[t], want, rtol=0, atol=1e-8)
 
 
 def test_attention_backward_never_forms_a_full_score_array(monkeypatch):
@@ -612,12 +613,13 @@ class Case(NamedTuple):
     every one differentiable, to the output of a single record of the op.
     `dims` draws the build's arguments; every run also checks `examples`.
     Every gradient is held to `rtol`, a number or a function of the dims,
-    and an absolute 1e-8 against central differences of step `h`."""
+    and to `atol` against central differences of step `h`."""
     dims: st.SearchStrategy
     build: Callable
     examples: list = []
     h: float = 1e-4
     rtol: float | Callable = 1e-7
+    atol: float = 1e-8
 
 
 def _shape_case(build, examples=()):
@@ -639,21 +641,45 @@ def _column_spans(draw):
     return (rows, cols), start, draw(st.integers(start + 1, cols))
 
 
-def _cross_entropy(rng, b, l, h, w):
-    labels = rng.integers(0, l, size=(b, h, w))
-    labels[rng.random((b, h, w)) < 0.25] = L.IGNORE_INDEX
-    labels[0, 0, 0] = 0  # one pixel is always kept
-    return (lambda z: L.cross_entropy(z, labels)), [rng.standard_normal((b, l, h, w))]
+def _bmm(rng, g, m, k, n, a_transposed, transpose_b):
+    # `b` is stored as its flag says and read transposed by bmm; `a` holds
+    # either a C-ordered array or a transposed (G,k,m) layout, which matmul
+    # reads as it lies and whose gradient still comes back shaped (G,m,k)
+    a = rng.standard_normal((g, k, m) if a_transposed else (g, m, k))
+    return ((lambda x, y: T.bmm(x, y, transpose_b=transpose_b)),
+            [a.transpose(0, 2, 1) if a_transposed else a,
+             rng.standard_normal((g, n, k) if transpose_b else (g, k, n))])
 
 
-def _mask_case(loss):
-    def build(rng, b, l, h, w):
-        target = (rng.random((b, l, h, w)) < 0.5).astype(float)
-        valid = rng.random((b, h, w)) < 0.8
-        # one kept positive pixel: with none the loss is a constant zero
-        target[0, 0, 0, 0] = valid[0, 0, 0] = 1
-        return (lambda z: loss(z, target, valid)), [rng.standard_normal((b, l, h, w))]
-    return Case(MAPS, build, [(2, 3, 2, 2), *FLAT_MAPS])
+def _attention(rng, b, heads, dh, h, w, m, width):
+    def fn(q, k, v):
+        with pytest.MonkeyPatch.context() as mp:  # queries in blocks of `width`
+            mp.setattr(F, "_ATTN_BLOCK", width * m)
+            return F.attention(q, k, v, heads)
+    c = heads * dh
+    return fn, [rng.standard_normal(s) for s in ((b, c, h, w), (b, c, m), (b, c, m))]
+
+
+def _loss_case(loss):
+    """(shape, bound, share): (B, L, H, W) logits drawn in [-bound, bound],
+    out to saturation at 50, and a share of the pixels ignored, from none to
+    all but one; a share of None keeps every pixel and passes dice and
+    focal no kept-pixel mask."""
+    def build(rng, shape, bound, share):
+        b, l, h, w = shape
+        kept = rng.random((b, h, w)) >= (share or 0.0)
+        kept[0, 0, 0] = True
+        logits = [rng.uniform(-bound, bound, shape)]
+        if loss is L.cross_entropy:
+            labels = np.where(kept, rng.integers(0, l, (b, h, w)), L.IGNORE_INDEX)
+            return (lambda z: loss(z, labels)), logits
+        target = (rng.random(shape) < 0.5).astype(float)
+        target[0, 0, 0, 0] = 1  # a kept positive: with none dice is a constant 0
+        valid = None if share is None else kept
+        return (lambda z: loss(z, target, valid)), logits
+    return Case(st.tuples(MAPS, st.floats(1.0, 50.0), st.none() | st.floats(0.0, 1.0)),
+                build, [((2, 3, 2, 2), 50.0, None), ((2, 3, 2, 2), 50.0, 1.0),
+                        *((s, 3.0, 0.25) for s in FLAT_MAPS)], atol=5e-10)
 
 
 def _layer_norm(rng, shape, constant):
@@ -662,13 +688,6 @@ def _layer_norm(rng, shape, constant):
         x[:] = x[:, :1]
     c = shape[1]
     return F.layer_norm, [x, rng.standard_normal(c), rng.standard_normal(c)]
-
-
-def _attention(rng, b, heads, dh, h, w, m):
-    c = heads * dh
-    return ((lambda q, k, v: F.attention(q, k, v, heads)),
-            [rng.standard_normal((b, c, h, w)), rng.standard_normal((b, c, m)),
-             rng.standard_normal((b, c, m))])
 
 
 OP_CASES = {
@@ -690,12 +709,10 @@ OP_CASES = {
                    [([1, 2], (2, 3))]),
     "gelu": _shape_case(lambda rng, s: (T.gelu, [rng.standard_normal(s) * 2.0]),
                         [(2, 3, 2, 2), *SWEEP_MAPS]),
-    "bmm": Case(st.tuples(*[st.integers(1, 5)] * 4, st.booleans()),
-                lambda rng, g, m, k, n, tb: (
-                    (lambda a, b: T.bmm(a, b, transpose_b=tb)),
-                    [rng.standard_normal((g, m, k)),
-                     rng.standard_normal((g, n, k) if tb else (g, k, n))]),
-                [(2, 3, 4, 5, True)]),
+    # (G, m, k, n, a_transposed, transpose_b); the product is bilinear, so
+    # central differences are exact up to rounding
+    "bmm": Case(st.tuples(*[st.integers(1, 5)] * 4, st.booleans(), st.booleans()),
+                _bmm, [(2, 3, 4, 5, True, True)], rtol=0.0, atol=1e-9),
     "softmax": Case(SHAPES.flatmap(lambda s: st.tuples(st.just(s),
                                                        st.integers(-len(s), len(s) - 1))),
                     lambda rng, s, axis: ((lambda a: F.softmax(a, axis)),
@@ -719,13 +736,13 @@ OP_CASES = {
         examples=[((2, 3, 3, 4),), *((s,) for s in FLAT_MAPS + SWEEP_MAPS)]),
     # drawn scores can be steep enough that the default step's truncation
     # error reaches 1e-8; at 1e-5 it is near 1e-10
-    "attention": Case(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 2),
-                                st.integers(1, 6), st.integers(1, 6), st.integers(1, 7)),
+    "attention": Case(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+                                st.integers(1, 6), st.integers(1, 6), st.integers(1, 7))
+                      .flatmap(lambda d: st.integers(1, d[3] * d[4]).map(lambda n: (*d, n))),
                       _attention,
-                      # (B, heads, C/heads, H, W, M); ATTENTION_SHAPES, with one
-                      # key, one channel per head and one query, are checked by
-                      # test_attention_gradients_match_finite_differences
-                      [(1, 2, 2, 2, 3, 3)],
+                      # (B, heads, C/heads, H, W, M, queries per block): one
+                      # block, blocks of one query, a partial last block
+                      [(1, 2, 2, 2, 3, 3, 6), (1, 2, 2, 2, 3, 3, 1), (1, 2, 2, 2, 3, 3, 4)],
                       h=1e-5, rtol=0.0),
     # the default step's truncation error reaches 5e-5 relative; at variance
     # 0 the gradients reach 1/sqrt(eps) = 1000, and at a step of 1e-6 the
@@ -748,22 +765,24 @@ OP_CASES = {
         [((1, 2, 5, 4), 2, 3), ((2, 3, 4, 5), 4, 5),
          ((2, 3, 1, 1), 1, 1), ((1, 2, 1, 5), 1, 2), ((2, 1, 3, 4), 2, 3),
          *((s, max(1, s[2] // 2), max(1, s[3] // 2)) for s in SWEEP_MAPS)]),
-    "cross_entropy": Case(MAPS, _cross_entropy, [(2, 3, 2, 2), *FLAT_MAPS]),
-    "dice": _mask_case(L.dice_loss),
-    "focal": _mask_case(L.focal_loss),
+    "cross_entropy": _loss_case(L.cross_entropy),
+    "dice": _loss_case(L.dice_loss),
+    "focal": _loss_case(L.focal_loss),
 }
 
 
 def check_op_gradient(name, dims, seed=0):
     """Hold every input's gradient of one `OP_CASES[name]` record at `dims`
-    to central differences of a random projection of its output."""
+    to central differences of its scalar output or of a random projection
+    of any other output."""
     case = OP_CASES[name]
     rng = np.random.default_rng(seed)
     fn, arrays = case.build(rng, *dims)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = fn(*inputs)
     assert out.op.op == name and out.op.inputs == tuple(inputs)
-    proj = rng.standard_normal(out.shape)
+    # a loss is differenced as it is, so its bounds hold unscaled
+    proj = rng.standard_normal(out.shape) if out.ndim else None
 
     def loss_fn(_=None):
         return dot(fn(*inputs), proj)
@@ -772,7 +791,7 @@ def check_op_gradient(name, dims, seed=0):
     rtol = case.rtol(*dims) if callable(case.rtol) else case.rtol
     for i, t in enumerate(inputs):
         np.testing.assert_allclose(grads[t], finite_diff_grad(loss_fn, t, h=case.h),
-                                   rtol=rtol, atol=1e-8, err_msg=f"input {i}")
+                                   rtol=rtol, atol=case.atol, err_msg=f"input {i}")
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -818,5 +837,6 @@ def test_pool_gradients():
 
 @pytest.mark.parametrize("dims", ATTENTION_SHAPES, ids=lambda d: "x".join(map(str, d)))
 def test_attention_gradients_match_finite_differences(dims):
+    # blocks of H*W - 1 queries: the last block holds one query
     b, c, h, w, m, heads = dims
-    check_op_gradient("attention", (b, heads, c // heads, h, w, m))
+    check_op_gradient("attention", (b, heads, c // heads, h, w, m, max(1, h * w - 1)))

@@ -1,7 +1,5 @@
 """Loss components vs per-pixel scalar oracles, closed forms, gradients."""
 
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -9,8 +7,8 @@ from cftseg import Tensor, backward
 from cftseg.errors import ShapeError
 import cftseg.functional as F
 import cftseg.gradcheck as G
-from cftseg import finite_diff_grad, max_rel_error
 import cftseg.losses as L
+from test_functional import check_op_gradient
 
 
 # independent per-pixel loops; no tensor machinery
@@ -100,12 +98,7 @@ class TestCrossEntropy:
                             np.zeros((1, 4, 4), dtype=int))
 
     def test_gradient(self):
-        rng = np.random.default_rng(2)
-        logits = Tensor(rng.standard_normal((1, 3, 2, 2)), requires_grad=True)
-        labels = rng.integers(0, 3, size=(1, 2, 2))
-        rows = G.check_gradients(lambda: L.cross_entropy(logits, labels),
-                                 {"logits": logits}, coords_per_tensor=6)
-        assert all(r.passed(1e-6) for r in rows)
+        check_op_gradient("cross_entropy", ((1, 3, 2, 2), 3.0, 0.0))
 
 
 class TestMaskTargets:
@@ -225,12 +218,7 @@ class TestDice:
                            np.zeros((1, 2, 2, 2))).item() == 0.0
 
     def test_gradient(self):
-        rng = np.random.default_rng(10)
-        logits = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-        target = (rng.random((1, 2, 3, 3)) > 0.5).astype(float)
-        rows = G.check_gradients(lambda: L.dice_loss(logits, target),
-                                 {"logits": logits}, coords_per_tensor=6)
-        assert all(r.passed(1e-6) for r in rows)
+        check_op_gradient("dice", ((1, 2, 3, 3), 3.0, None))
 
 
 class TestFocal:
@@ -257,12 +245,7 @@ class TestFocal:
         assert np.isfinite(val) and val > 100  # confidently wrong is expensive
 
     def test_gradient(self):
-        rng = np.random.default_rng(14)
-        logits = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-        target = (rng.random((1, 2, 3, 3)) > 0.5).astype(float)
-        rows = G.check_gradients(lambda: L.focal_loss(logits, target),
-                                 {"logits": logits}, coords_per_tensor=6)
-        assert all(r.passed(1e-6) for r in rows)
+        check_op_gradient("focal", ((1, 2, 3, 3), 3.0, None))
 
 
 class TestDiceAndFocal:
@@ -397,45 +380,14 @@ class TestTotalLoss:
 
 
 # ---------------------------------------------------------------------------
-# closed-form gradients against central differences on drawn inputs
+# the registry check at saturated logits (bound 50) and one kept pixel; it
+# draws these losses' logits, ignored pixels and masks
 
 
-@st.composite
-def loss_cases(draw):
-    """(B,L,H,W) logits in [-50, 50], labels with some pixels ignored (at
-    least one kept), and an independent binary mask target."""
-    b, l, h, w = (draw(st.integers(1, hi)) for hi in (2, 4, 4, 4))
-    logits = draw(arrays(np.float64, (b, l, h, w),
-                         elements=st.floats(-50.0, 50.0)))
-    labels = draw(arrays(np.int64, (b, h, w), elements=st.integers(0, l - 1)))
-    ignored = draw(arrays(np.bool_, (b, h, w)))
-    ignored.flat[draw(st.integers(0, ignored.size - 1))] = False
-    labels[ignored] = L.IGNORE_INDEX
-    target = draw(arrays(np.float64, (b, l, h, w),
-                         elements=st.sampled_from([0.0, 1.0])))
-    return logits, labels, target
+def test_cross_entropy_gradient_matches_central_differences():
+    check_op_gradient("cross_entropy", ((2, 4, 4, 4), 50.0, 1.0))
 
 
-PROPERTY = settings(max_examples=60)
-
-
-def _gradient_error(loss_fn, logits):
-    x = Tensor(logits.copy(), requires_grad=True)
-    analytic = backward(loss_fn(x), leaves=[x])[x]
-    return max_rel_error(analytic, finite_diff_grad(loss_fn, x))
-
-
-@PROPERTY
-@given(loss_cases())
-def test_cross_entropy_gradient_matches_central_differences(case):
-    logits, labels, _ = case
-    assert _gradient_error(lambda t: L.cross_entropy(t, labels), logits) < 1e-5
-
-
-@pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
-@PROPERTY
-@given(case=loss_cases())
-def test_mask_loss_gradient_matches_central_differences(loss, case):
-    logits, labels, target = case
-    valid = labels != L.IGNORE_INDEX
-    assert _gradient_error(lambda t: loss(t, target, valid), logits) < 1e-5
+@pytest.mark.parametrize("name", ["dice", "focal"], ids=["dice_loss", "focal_loss"])
+def test_mask_loss_gradient_matches_central_differences(name):
+    check_op_gradient(name, ((2, 4, 4, 4), 50.0, 1.0))

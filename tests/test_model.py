@@ -334,7 +334,9 @@ def test_every_rule_returns_one_gradient_per_input(variant, mask_mode):
 
 
 def test_every_recorded_op_has_a_gradient_case():
-    # so that no op lands on the tape without a finite-difference check
+    # so that no op lands on the tape without a finite-difference check,
+    # and no case outlives the op it checks
     recorded = {t.op.op for variant in VARIANT_CHOICES for mode in L.MASK_LOSS_MODES
                 for t in T.trace(traced_step(variant, mode)[2])}
     assert sorted(recorded - set(OP_CASES)) == []
+    assert sorted(set(OP_CASES) - recorded) == []

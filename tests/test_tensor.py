@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cftseg import Tensor, backward, finite_diff_grad, no_grad
+from cftseg import Tensor, backward, no_grad
 from cftseg.errors import ShapeError
 from cftseg import tensor as T
 import cftseg.functional as F
 from oracles import GELU_C, gelu_o
 from scalar import dot
-from test_functional import check_op_gradient
+from test_functional import OP_CASES, check_op_gradient
 
 
 def test_tensor_wraps_float64_copy():
@@ -80,26 +80,17 @@ BMM_SHAPES = [(4, 3, 5, 2), (2, 1, 3, 4), (2, 3, 1, 4), (3, 4, 2, 1)]
 @pytest.mark.parametrize("transpose_b", [False, True])
 @pytest.mark.parametrize("dims", BMM_SHAPES, ids=lambda d: "x".join(map(str, d)))
 def test_bmm_flags_match_numpy_and_finite_differences(dims, a_transposed, transpose_b):
-    g, m, k, n = dims
-    rng = np.random.default_rng(sum(dims))
-    # `b` is stored as its flag says and read transposed by bmm; `a` holds
-    # either a C-ordered array or a transposed (G,k,m) layout, which matmul
-    # reads as it lies and whose gradient still comes back shaped (G,m,k)
-    a_values = rng.standard_normal((g, k, m) if a_transposed else (g, m, k))
-    a = Tensor(a_values.transpose(0, 2, 1) if a_transposed else a_values, requires_grad=True)
-    b = Tensor(rng.standard_normal((g, n, k) if transpose_b else (g, k, n)), requires_grad=True)
+    # the registry's operands: `a` C-ordered or a transposed (G,k,m) layout,
+    # `b` stored as its flag says
+    rng = np.random.default_rng(0)
+    fn, arrays = OP_CASES["bmm"].build(rng, *dims, a_transposed, transpose_b)
+    a, b = (Tensor(x, requires_grad=True) for x in arrays)
     bm = b.data.transpose(0, 2, 1) if transpose_b else b.data
-    y = T.bmm(a, b, transpose_b=transpose_b)
+    y = fn(a, b)
     np.testing.assert_array_equal(y.data, np.matmul(a.data, bm))
-    proj = rng.standard_normal((g, m, n))
-
-    def loss_fn(_=None):
-        return dot(T.bmm(a, b, transpose_b=transpose_b), proj)
-
-    grads = backward(loss_fn())
-    for t in (a, b):
-        assert grads[t].shape == t.shape
-        np.testing.assert_allclose(grads[t], finite_diff_grad(loss_fn, t), rtol=0, atol=1e-9)
+    grads = backward(dot(y, rng.standard_normal(y.shape)))
+    assert [grads[t].shape for t in (a, b)] == [a.shape, b.shape]
+    check_op_gradient("bmm", (*dims, a_transposed, transpose_b))
 
 
 def test_bmm_flags_check_the_read_shapes():
