@@ -45,34 +45,32 @@ class Dataset:
         return int(self.images.shape[0])
 
 
-def _texture(size: int, index: int, phase: float) -> np.ndarray:
-    fy, fx = TEXTURE_FREQS[index % len(TEXTURE_FREQS)]
-    yy, xx = np.mgrid[0:size, 0:size] / size
-    return TEXTURE_AMP * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
-
-
-def _shape_mask(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+def _shape_pixels(kind: str, axis: np.ndarray, rng: np.random.Generator):
+    """Draw one shape on the square map with rows and columns axis. Returns
+    its pixels as an index into that map (slices for the background and a
+    rectangle, pixel arrays otherwise) and as rows and columns that broadcast."""
+    if kind == "background":
+        return (slice(None), slice(None)), (axis[:, None], axis)
+    size = len(axis)
     # generous radii keep coarse-grid cells mostly single-class, which the
     # stage-mask supervision depends on
-    yy, xx = np.mgrid[0:size, 0:size]
     lo, hi = size // 6, size // 4 + size // 16
-    if kind == "rectangle":
-        ry, rx = rng.integers(lo, hi + 1, size=2)
-        cy = rng.integers(ry, size - ry + 1)
-        cx = rng.integers(rx, size - rx + 1)
-        return (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
-    if kind == "ellipse":
-        ry, rx = rng.integers(lo, hi + 1, size=2)
-        cy = rng.integers(ry, size - ry + 1)
-        cx = rng.integers(rx, size - rx + 1)
-        return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
     if kind == "stripe":
         theta = rng.uniform(0.0, np.pi)
         ay, ax = rng.integers(lo, size - lo, size=2)
-        half_width = rng.integers(lo // 2 + 2, lo + 1)
-        dist = (xx - ax) * np.cos(theta) + (yy - ay) * np.sin(theta)
-        return np.abs(dist) <= half_width
-    raise ConfigError(f"unknown shape kind {kind!r}")
+        half_width = rng.integers(min(lo // 2 + 2, lo), lo + 1)
+        dist = (axis - ax) * np.cos(theta) + (axis[:, None] - ay) * np.sin(theta)
+        pixels = np.nonzero(np.abs(dist) <= half_width)
+        return pixels, pixels
+    ry, rx = rng.integers(lo, hi + 1, size=2)
+    cy = rng.integers(ry, size - ry + 1)
+    cx = rng.integers(rx, size - rx + 1)
+    rows, cols = axis[cy - ry:cy + ry + 1], axis[cx - rx:cx + rx + 1]
+    if kind == "rectangle":
+        return (slice(cy - ry, cy + ry + 1), slice(cx - rx, cx + rx + 1)), (rows[:, None], cols)
+    r, c = np.nonzero(((rows[:, None] - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0)
+    pixels = rows[r], cols[c]
+    return pixels, pixels
 
 
 def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
@@ -84,23 +82,25 @@ def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
     if size < 16:
         raise ConfigError("image size must be at least 16")
     rng = np.random.default_rng(seed)
+    axis = np.arange(size)
     images = np.empty((n_images, 3, size, size))
     labels = np.zeros((n_images, size, size), dtype=np.int64)
     for n in range(n_images):
-        image = np.empty((3, size, size))
-        bg = _texture(size, 0, rng.uniform(0.0, 2.0 * np.pi))
-        for c, value in enumerate(BACKGROUND_COLOR):
-            image[c] = value + bg
-        for index in range(1, num_categories):
-            kind = SHAPE_KINDS[(index - 1) % len(SHAPE_KINDS)]
-            mask = _shape_mask(kind, size, rng)
-            tex = _texture(size, index, rng.uniform(0.0, 2.0 * np.pi))
+        image = images[n]
+        for index in range(num_categories):
+            kind = SHAPE_KINDS[(index - 1) % len(SHAPE_KINDS)] if index else "background"
+            pixels, (y, x) = _shape_pixels(kind, axis, rng)
+            # a texture value depends on its pixel alone, so taking it only
+            # where it is painted keeps its bits
+            fy, fx = TEXTURE_FREQS[index % len(TEXTURE_FREQS)]
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            tex = TEXTURE_AMP * np.sin(2.0 * np.pi * (fx * (x / size) + fy * (y / size)) + phase)
             color = category_color(index, num_categories)
             for c in range(3):
-                image[c][mask] = color[c] + tex[mask]
-            labels[n][mask] = index
+                image[c][pixels] = color[c] + tex
+            labels[n][pixels] = index
         image += rng.normal(0.0, NOISE_SIGMA, image.shape)
-        images[n] = np.clip(image, 0.0, 1.0)
+        np.clip(image, 0.0, 1.0, out=image)
     return Dataset(images=images, labels=labels, num_categories=num_categories)
 
 

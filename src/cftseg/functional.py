@@ -159,8 +159,8 @@ def depthwise_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
-    if x.size == 0:
-        raise ShapeError(f"softmax expects a non-empty array, got {x.shape}")
+    if x.ndim == 0 or x.size == 0:
+        raise ShapeError(f"softmax expects a non-empty array with an axis, got {x.shape}")
     axis = axis % x.ndim
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)

@@ -1,13 +1,18 @@
-"""Independent loop-based reference implementations for the ops and fusion blocks.
+"""Independent loop-based reference implementations for the ops and fusion
+blocks, and a whole-image painter for the synthetic scenes.
 
 Everything here works on plain numpy arrays with explicit loops and
 never calls into the package's op implementations, so agreement with
-the taped ops is a real cross-check rather than a tautology.
+the taped ops is a real cross-check rather than a tautology. The scene
+painter takes only the generator's constants and category colors.
 """
 
 import math
 
 import numpy as np
+
+from cftseg.data import (BACKGROUND_COLOR, NOISE_SIGMA, SHAPE_KINDS, TEXTURE_AMP,
+                         TEXTURE_FREQS, category_color)
 
 GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -239,3 +244,51 @@ def variant_c_o(f_high, x_low, params, pool_hw):
     merged_tokens = merged.reshape(c, h * w).T
     out = ffn_o(merged_tokens, h, w, params) + merged_tokens
     return out.T.reshape(c, h, w)
+
+
+def _texture_o(size, index, phase):
+    fy, fx = TEXTURE_FREQS[index % len(TEXTURE_FREQS)]
+    yy, xx = np.mgrid[0:size, 0:size] / size
+    return TEXTURE_AMP * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+
+
+def _shape_mask_o(kind, size, rng):
+    yy, xx = np.mgrid[0:size, 0:size]
+    lo, hi = size // 6, size // 4 + size // 16
+    if kind == "stripe":
+        theta = rng.uniform(0.0, np.pi)
+        ay, ax = rng.integers(lo, size - lo, size=2)
+        half_width = rng.integers(min(lo // 2 + 2, lo), lo + 1)
+        return np.abs((xx - ax) * np.cos(theta) + (yy - ay) * np.sin(theta)) <= half_width
+    ry, rx = rng.integers(lo, hi + 1, size=2)
+    cy = rng.integers(ry, size - ry + 1)
+    cx = rng.integers(rx, size - rx + 1)
+    if kind == "rectangle":
+        return (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+    return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+
+
+def scenes_o(seed, n_images, size, num_categories):
+    """(images, labels) of gen_synthetic_dataset, painted the whole-image
+    way: every shape's mask and texture cover the full grid, and the
+    pixels are set through the boolean mask, with the same draws in the
+    same order (background phase; each shape's draws, then its phase;
+    the noise)."""
+    rng = np.random.default_rng(seed)
+    images = np.empty((n_images, 3, size, size))
+    labels = np.zeros((n_images, size, size), dtype=np.int64)
+    for n in range(n_images):
+        image = np.empty((3, size, size))
+        bg = _texture_o(size, 0, rng.uniform(0.0, 2.0 * np.pi))
+        for c, value in enumerate(BACKGROUND_COLOR):
+            image[c] = value + bg
+        for index in range(1, num_categories):
+            mask = _shape_mask_o(SHAPE_KINDS[(index - 1) % len(SHAPE_KINDS)], size, rng)
+            tex = _texture_o(size, index, rng.uniform(0.0, 2.0 * np.pi))
+            color = category_color(index, num_categories)
+            for c in range(3):
+                image[c][mask] = color[c] + tex[mask]
+            labels[n][mask] = index
+        image += rng.normal(0.0, NOISE_SIGMA, image.shape)
+        images[n] = np.clip(image, 0.0, 1.0)
+    return images, labels

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cftseg.data import (Dataset, category_color, gen_synthetic_dataset,
                          load_dataset, save_dataset)
 from cftseg.errors import ConfigError, DatasetError
+from oracles import scenes_o
 
 
 def test_same_seed_gives_identical_bytes():
@@ -44,6 +46,26 @@ def test_two_categories_make_binary_masks():
     ds = gen_synthetic_dataset(seed=2, n_images=4, size=32, num_categories=2)
     assert set(np.unique(ds.labels)) <= {0, 1}
     assert (ds.labels == 1).any()
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 3),
+       size=st.integers(16, 96), num_categories=st.integers(2, 20))
+@example(seed=9, n_images=2, size=256, num_categories=16)
+@example(seed=9, n_images=2, size=128, num_categories=4)
+def test_scenes_match_the_whole_image_painter(seed, n_images, size, num_categories):
+    ds = gen_synthetic_dataset(seed, n_images, size, num_categories)
+    images, labels = scenes_o(seed, n_images, size, num_categories)
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("num_categories", [4, 5, 6])
+@pytest.mark.parametrize("size", [16, 17])
+def test_smallest_scenes_draw_every_shape(size, num_categories):
+    ds = gen_synthetic_dataset(seed=0, n_images=2, size=size, num_categories=num_categories)
+    assert ds.images.shape == (2, 3, size, size)
+    assert set(np.unique(ds.labels)) == set(range(num_categories))
 
 
 def test_config_validation():

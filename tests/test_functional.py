@@ -93,6 +93,11 @@ def test_set_ops_refuse_empty_inputs(op, shape):
         SET_OPS[op](Tensor(np.zeros(shape)))
 
 
+def test_softmax_refuses_a_scalar():
+    with pytest.raises(ShapeError, match="with an axis"):
+        F.softmax(Tensor(np.array(1.0)), 0)
+
+
 # --------------------------------------------------------------------------
 # depthwise 3x3
 
