@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Array, Tensor, recording
+from .tensor import Array, Tensor
 
 __all__ = [
     "linear", "conv1x1", "depthwise_conv3x3", "softmax", "attention",
@@ -103,13 +103,16 @@ def _tap_windows(src: Array):
     planes[:, :, 0] = planes[:, :, -1] = planes[:, :, :, 0] = planes[:, :, :, w + 1:] = 0.0
     windows = buf[n_pad:n_pad + n_win].reshape(step, 3, 3, b, h * p)
     rows = buf[n_pad + n_win:n_pad + n_win + step * n_out].reshape(step, 1, n_out)
+    # the nine windows of every row as one read-only view of the padded
+    # rows, so a block's windows are one copy of runs of HP values
+    sc, sb, se = pad.strides
+    taps = np.lib.stride_tricks.as_strided(pad, (step, 3, 3, b, h * p),
+                                           (sc, p * se, se, sb, se), writeable=False)
     for start in range(0, c, step):
         s = slice(start, min(start + step, c))
         k = s.stop - start
         planes[:k, :, 1:-1, 1:w + 1] = src[:, s].transpose(1, 0, 2, 3)
-        for di in range(3):
-            for dj in range(3):
-                windows[:k, di, dj] = pad[:k, :, di * p + dj:di * p + dj + h * p]
+        windows[:k] = taps[:k]
         yield s, windows[:k].reshape(k, 9, n_out), rows[:k]
 
 
@@ -161,6 +164,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
     if x.ndim == 0 or x.size == 0:
         raise ShapeError(f"softmax expects a non-empty array with an axis, got {x.shape}")
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"softmax axis {axis} is out of range for shape {x.shape}")
     axis = axis % x.ndim
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
@@ -193,8 +198,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     blocks of _ATTN_BLOCK // M, whose (B*heads, M, width) scores, keys x
     queries, stay in cache. The scale is applied to the keys and the
     softmax normalisation to the context, so the scores are only shifted
-    and exponentiated. The blocks are kept for the backward only when
-    recording; the backward never forms the weights' own gradient.
+    and exponentiated. One block's room serves every block in both
+    directions: the forward keeps each query's maximum score, and the
+    backward recomputes each block's weights from it, with the forward's
+    operations on the forward's operands, so they keep their bits. The
+    backward never forms the weights' own gradient.
     """
     _check_map(q, "attention")
     b, c, h, w = q.shape
@@ -211,25 +219,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     vh = v.data.reshape(groups, dh, m)
     width = max(1, min(n, _ATTN_BLOCK // m))
     spans = [slice(i, min(i + width, n)) for i in range(0, n, width)]
-    # recorded, the blocks lie one after another in one array for the
-    # backward; otherwise one block's room serves them all
-    records = recording(q, k, v)
-    store = np.empty(groups * m * (n if records else width))
-    blocks = []
+    store = np.empty(groups * m * width)
+    # each query's maximum score: with the operands, all the backward
+    # needs to form a block's weights again
+    top = np.empty((groups, 1, n))
+
+    def weights(s: slice, first: bool) -> Array:
+        """The unnormalised weights of the queries in `s`, in the store."""
+        e = store[:groups * m * (s.stop - s.start)].reshape(groups, m, -1)
+        np.matmul(ks.transpose(0, 2, 1), qh[:, :, s], out=e)
+        if first:
+            np.max(e, axis=1, keepdims=True, out=top[:, :, s])
+        e -= top[:, :, s]
+        return np.exp(e, out=e)
+
     ctx = np.empty((groups, dh, n))
     # inv first holds each query's sum of weights, taken as a product with
     # ones: BLAS sums a block faster than a reduction over its middle axis
     inv = np.empty((groups, 1, n))
     ones = np.ones((1, 1, m))
     for s in spans:
-        start = groups * m * s.start if records else 0
-        e = store[start:start + groups * m * (s.stop - s.start)].reshape(groups, m, -1)
-        np.matmul(ks.transpose(0, 2, 1), qh[:, :, s], out=e)
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
+        e = weights(s, True)
         np.matmul(ones, e, out=inv[:, :, s])
         np.matmul(vh, e, out=ctx[:, :, s])
-        blocks.append(e)
     np.divide(1.0, inv, out=inv)
     ctx *= inv
 
@@ -244,7 +256,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         r *= inv
         np.multiply(g, inv, out=gq)
         a = np.empty(groups * m * width)
-        for i, (s, e) in enumerate(zip(spans, blocks)):
+        for i, s in enumerate(spans):
+            e = weights(s, False)
             gi = gq[:, :, s]
             gs = a[:e.size].reshape(e.shape)
             np.matmul(vh.transpose(0, 2, 1), gi, out=gs)

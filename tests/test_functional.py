@@ -98,6 +98,13 @@ def test_softmax_refuses_a_scalar():
         F.softmax(Tensor(np.array(1.0)), 0)
 
 
+@pytest.mark.parametrize("axis", [2, -3, 5])
+def test_softmax_refuses_an_axis_out_of_range(axis):
+    # a wrapped axis would run over another axis: 2 % 2 is axis 0
+    with pytest.raises(ShapeError, match="out of range"):
+        F.softmax(Tensor(np.zeros((2, 3))), axis)
+
+
 # --------------------------------------------------------------------------
 # depthwise 3x3
 
@@ -474,6 +481,24 @@ def test_attention_backward_never_forms_a_full_score_array(monkeypatch):
     assert [gr.shape for gr in grads] == [q.shape, k.shape, v.shape]
     # the query gradient alone is one map: a smaller peak would mean nothing was traced
     assert q.data.nbytes <= backward_peak < scores_bytes
+
+
+def test_recorded_attention_holds_less_than_its_scores(monkeypatch):
+    # the same 8 blocks: between the forward and the backward a record
+    # holds its output, one block and per-query maxima and sums, where all
+    # the blocks' weights are one (B*heads, M, H*W) score array
+    monkeypatch.setattr(F, "_ATTN_BLOCK", 64 * 128)
+    q, k, v = _attention_operands(2, 8, 32, 32, 64, seed=5)
+    scores_bytes = 2 * 2 * 64 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        y = F.attention(q, k, v, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.op is not None
+    # the output alone is one map: less would mean nothing was traced
+    assert q.data.nbytes <= held < scores_bytes
 
 
 def test_attention_checks_its_operands():
