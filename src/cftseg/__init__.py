@@ -1,7 +1,7 @@
 """Category-attention top-down feature aggregation on a small autodiff engine."""
 
 from .errors import (CheckpointError, ConfigError, DatasetError, DivergedError,
-                     ShapeError)
+                     GraphError, ShapeError)
 from .gradcheck import finite_diff_grad, max_rel_error
 from .tensor import Tensor, backward, no_grad
 
@@ -11,5 +11,5 @@ __all__ = [
     "Tensor", "backward", "no_grad",
     "finite_diff_grad", "max_rel_error",
     "ShapeError", "ConfigError", "DatasetError", "CheckpointError", "DivergedError",
-    "__version__",
+    "GraphError", "__version__",
 ]

@@ -17,6 +17,10 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is truncated, corrupt, or from an unknown format."""
 
 
+class GraphError(RuntimeError):
+    """A backward pass reached a graph that an earlier backward consumed."""
+
+
 class DivergedError(RuntimeError):
     """Training produced a non-finite loss, gradient or parameter and was aborted."""
 

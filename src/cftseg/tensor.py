@@ -5,7 +5,8 @@ objective use live here, the fused layers in functional.py and the
 closed-form losses in losses.py. With gradients enabled every op leaves an
 `OpRecord` on its output; `backward` replays the records reachable from a
 scalar loss in reverse topological order, adding up gradients in a fixed
-order so results are bit-reproducible per graph.
+order so results are bit-reproducible per graph. The sweep releases each
+record once its rule has run, so a graph is differentiated only once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import GraphError, ShapeError
 
 Array = np.ndarray
 
@@ -51,7 +52,8 @@ class OpRecord:
     aligned with `inputs` and shaped like each; only the sweep in
     `backward` drops those of inputs that need none. The record holds no
     reference to its output, so a graph only points from outputs to inputs
-    and reference counting frees it as soon as its last tensor is dropped.
+    and reference counting frees it, and the arrays its rule saved, as soon
+    as its last tensor is dropped or the sweep in `backward` has run it.
     """
 
     __slots__ = ("op", "inputs", "backward")
@@ -64,6 +66,13 @@ class OpRecord:
 
     def __repr__(self):
         return f"OpRecord({self.op}, n_inputs={len(self.inputs)})"
+
+
+def _consumed(g):
+    raise GraphError("backward reached a graph that an earlier backward consumed")
+
+
+_CONSUMED = OpRecord("consumed", (), _consumed)  # a swept tensor's record
 
 
 class Tensor:
@@ -290,38 +299,40 @@ def trace(loss: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tensor, Array]:
-    """Differentiate a scalar loss through the recorded tape.
+    """Differentiate a scalar loss through the recorded tape, consuming it.
 
     Returns a map from each grad-enabled leaf tensor reached by the
     sweep to its gradient array. If `leaves` is given, the map contains
     exactly those tensors, with zero arrays for any the loss does not
     touch. Accumulation walks the tape in a fixed reverse order, so the
-    result is deterministic for a given graph.
+    result is deterministic for a given graph. The sweep swaps each record
+    for one without inputs before its rule runs; reaching a swept tensor
+    again raises GraphError, but leaves stay usable in new graphs.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = trace(loss)
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    # keys whose gradient is a sum this function allocated; only those are
-    # added into, since a rule may return its output gradient, or a view
-    # of it, for an input (add, reshape)
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+    # ids (which keep no swept tensor alive) of the tensors whose gradient is
+    # a sum this function allocated; only those are added into, since a rule
+    # may return its output gradient, or a view of it, for an input (add, reshape)
     owned: set[int] = set()
-    for t in reversed(tape):
+    while tape:
         # every recorded tensor has its gradient by now: the loss's is seeded,
-        # and each other one feeds a later record whose rule has run
-        for inp, gi in zip(t.op.inputs, t.op.backward(grads.pop(id(t)))):
+        # and each other one feeds a later record whose rule has run; the
+        # tensor is not held here while its rule runs, so its data may go first
+        rule, tape[-1].op = tape[-1].op, _CONSUMED
+        for inp, gi in zip(rule.inputs, rule.backward(grads.pop(tape.pop()))):
             if not inp.requires_grad:
                 continue
-            key = id(inp)
-            if key not in grads:
-                grads[key] = gi
-            elif key in owned:
-                grads[key] += gi
+            if inp not in grads:
+                grads[inp] = gi
+            elif id(inp) in owned:
+                grads[inp] += gi
             else:
-                grads[key] = grads[key] + gi
-                owned.add(key)
-    # what is left in `grads` belongs to leaves: recorded tensors were popped
+                grads[inp] = grads[inp] + gi
+                owned.add(id(inp))
+    # only leaves are left in `grads`, in the order reached; a no-grad loss is dropped
     if leaves is None:
-        reached = (loss, *(inp for t in tape for inp in t.op.inputs))
-        leaves = [t for t in reached if t.op is None and t.requires_grad and id(t) in grads]
-    return {t: grads.get(id(t), np.zeros(t.shape)) for t in leaves}
+        leaves = [t for t in grads if t.requires_grad]
+    return {t: grads.get(t, np.zeros(t.shape)) for t in leaves}

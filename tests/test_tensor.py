@@ -1,10 +1,12 @@
 """Core tensor engine: forward values, tape structure, backward sweep."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from cftseg import Tensor, backward, no_grad
-from cftseg.errors import ShapeError
+from cftseg.errors import GraphError, ShapeError
 from cftseg import tensor as T
 import cftseg.functional as F
 from oracles import GELU_C, gelu_o
@@ -199,6 +201,50 @@ def test_replay_same_graph_is_bit_identical():
     l2, g2 = run()
     assert l1 == l2
     np.testing.assert_array_equal(g1, g2)
+
+
+def test_a_graph_is_differentiated_once():
+    # the sweep consumes the records it runs: the same loss again, or a new
+    # loss over an intermediate already swept, raises instead of repeating
+    # the first result or giving zeros; the leaves go on into new graphs
+    x = Tensor(np.linspace(-1.5, 1.5, 5), requires_grad=True)
+
+    def square_of_gelu():
+        y = T.gelu(x)
+        return y, dot(y, y)
+
+    y, loss = square_of_gelu()
+    first = backward(loss)[x]
+    with pytest.raises(GraphError):
+        backward(loss)
+    with pytest.raises(GraphError):
+        backward(dot(y * 2.0), leaves=[x])
+    assert backward(square_of_gelu()[1])[x].tobytes() == first.tobytes()
+
+
+def test_backward_releases_what_its_records_held():
+    # the caller still holds the loss; its record would keep every tensor
+    # and every array a rule saved alive, the gelu output among them
+    x = Tensor(np.linspace(-1.5, 1.5, 6), requires_grad=True)
+    y = T.gelu(x)
+    held = weakref.ref(y.data)
+    loss = dot(y, y)
+    del y
+    assert held() is not None
+    grads = backward(loss)
+    assert held() is None
+    assert loss.op.inputs == () and set(grads) == {x}
+
+
+def test_leaf_map_holds_exactly_the_grad_enabled_leaves_reached():
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.arange(3.0))  # reached, but needs no gradient
+    assert list(backward(dot(x + c, x))) == [x]
+    # a loss without a record is its own leaf, if it needs a gradient
+    leaf = Tensor(np.full((1, 1, 1), 2.0), requires_grad=True)
+    grads = backward(leaf)
+    assert list(grads) == [leaf] and grads[leaf].tolist() == [[[1.0]]]
+    assert backward(Tensor(np.ones(1))) == {}
 
 
 class TestElementwiseGradients:
