@@ -1,11 +1,12 @@
 """Segmentation objective: pixel cross-entropy plus dice/focal mask supervision.
 
-The mask terms act on per-category sigmoid probabilities of summed stage
-logits, against one-hot targets from nearest-downsampled labels; the pixel
-term is a softmax cross-entropy over categories. Pixels labelled 255 are
-left out of every term. The weighted total is ``ce + 2*dice + 5*focal``
-and the whole breakdown backpropagates; cross-entropy, dice and focal are
-each one tape record with a closed-form backward.
+Every term reads a (B,H,W) label map. The mask terms act on per-category
+sigmoid probabilities of summed stage logits, against the label planes of
+nearest-downsampled labels; the pixel term is a softmax cross-entropy over
+categories. Pixels labelled 255 are left out of every term. The weighted
+total is ``ce + 2*dice + 5*focal`` and the whole breakdown backpropagates;
+cross-entropy, dice and focal are each one tape record with a closed-form
+backward.
 """
 
 from __future__ import annotations
@@ -71,12 +72,24 @@ def check_category_count(num_categories: int, error: type[ValueError]) -> None:
                     f"got {num_categories}")
 
 
-def one_hot(labels: np.ndarray, num_categories: int) -> np.ndarray:
-    """(B,H,W) indices -> (B,L,H,W) float one-hot; ignored pixels all-zero."""
+def _label_planes(logits: Tensor, labels: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The (B,L,H,W) boolean planes of a (B,H,W) label map that matches
+    (B,L,H,W) logits, and the (B,H,W) mask of pixels not labelled 255.
+
+    Ignored pixels lie in no plane. Raises ShapeError on other shapes and
+    ValueError, through `check_labels`, on non-integer or out-of-range
+    labels.
+    """
+    if logits.ndim != 4:
+        raise ShapeError(f"losses expect (B,L,H,W) logits, got {logits.shape}")
+    b, num_categories, h, w = logits.shape
     labels = check_labels(labels, num_categories)
-    if labels.ndim != 3:
-        raise ShapeError(f"labels must be (B,H,W), got {labels.shape}")
-    return (labels[:, None] == np.arange(num_categories)[:, None, None]).astype(np.float64)
+    if labels.shape != (b, h, w):
+        raise ShapeError(
+            f"labels shape {labels.shape} does not match logits {logits.shape}")
+    hit = labels[:, None] == np.arange(num_categories)[:, None, None]
+    return hit, labels != IGNORE_INDEX
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -85,20 +98,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     Per kept pixel the loss is logsumexp(z) - z[label]; its gradient is
     (softmax(z) - onehot(label)) / n_kept, and zero at ignored pixels.
     """
-    if logits.ndim != 4:
-        raise ShapeError(f"cross_entropy expects (B,L,H,W) logits, got {logits.shape}")
-    b, num_categories, h, w = logits.shape
-    labels = check_labels(labels, num_categories)
-    if labels.shape != (b, h, w):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match logits {logits.shape}")
-    kept = labels != IGNORE_INDEX
+    hit, kept = _label_planes(logits, labels)
     n_valid = int(np.count_nonzero(kept))
     if n_valid == 0:
         raise ValueError("cross_entropy: every pixel is ignored")
-    # the label's plane at each pixel; 255 matches none, so ignored pixels
-    # have no hit
-    hit = labels[:, None] == np.arange(num_categories)[:, None, None]
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     norm = exp.sum(axis=1, keepdims=True)
@@ -129,15 +132,6 @@ def downsample_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return labels[:, rows[:, None], cols[None, :]]
 
 
-def build_mask_targets(labels: np.ndarray, num_categories: int,
-                       out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-downsampled one-hot targets (B,L,out_h,out_w) and the
-    (B,out_h,out_w) mask of kept, non-ignored pixels; `one_hot` rejects
-    any sampled label outside [0, num_categories) other than 255."""
-    small = downsample_labels(labels, out_h, out_w)
-    return one_hot(small, num_categories), small != IGNORE_INDEX
-
-
 def sum_masks_orderly(masks: Sequence[Tensor],
                       mode: str = "cumulative") -> list[Tensor]:
     """Resize stage mask logits to the finest grid and accumulate in order.
@@ -158,43 +152,20 @@ def sum_masks_orderly(masks: Sequence[Tensor],
     return sums if mode == "cumulative" else [sums[-1]]
 
 
-def _check_mask_input(logits: Tensor, target: np.ndarray,
-                      valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Float target and the kept-pixel mask broadcast to its (B,L,H,W) shape.
-
-    Raises ValueError unless every target value is 0 or 1 and `valid`, when
-    given, is boolean: the closed forms score binary targets only. Raises
-    ShapeError unless `valid` has the target's (B,H,W) shape.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    if logits.ndim != 4 or target.shape != logits.shape:
-        raise ShapeError(f"mask logits {logits.shape} and target {target.shape} "
-                         "must be matching (B,L,H,W) arrays")
-    if not ((target == 0.0) | (target == 1.0)).all():
-        raise ValueError("mask targets must be 0 or 1")
-    if valid is not None and np.asarray(valid).dtype != np.bool_:
-        raise ValueError("the kept-pixel mask `valid` must be boolean")
-    b, _, h, w = target.shape
-    if valid is not None and np.shape(valid) != (b, h, w):
-        raise ShapeError(f"kept-pixel mask {np.shape(valid)} does not match the "
-                         f"target's (B,H,W) = {(b, h, w)}")
-    keep = 1.0 if valid is None else np.asarray(valid, dtype=np.float64)[:, None]
-    return target, np.broadcast_to(keep, target.shape)
-
-
-def dice_loss(mask_logits: Tensor, target: np.ndarray,
-              valid: np.ndarray | None = None) -> Tensor:
+def dice_loss(mask_logits: Tensor, labels: np.ndarray) -> Tensor:
     """Soft dice on sigmoid probabilities, averaged over present categories.
 
-    Pixels where `valid` (B,H,W) is false are left out of every sum. A
-    category counts as present when its target plane has any positive
-    kept pixel in that sample; an all-empty target yields a zero loss.
-    Per (sample, category) pair the loss is 1 - N/D with N = 2*inter + 1
-    and D = psum + tsum + 1; its derivative in a kept pixel's probability
-    p is N/D**2 - 2*target/D, and p in the logit has slope p*(1 - p).
+    The target of category l is the plane of pixels labelled l in the
+    (B,H,W) `labels`; pixels labelled 255 are left out of every sum. A
+    category counts as present when some pixel of that sample carries its
+    label; with every pixel ignored the loss is zero. Per (sample,
+    category) pair the loss is 1 - N/D with N = 2*inter + 1 and D = psum +
+    tsum + 1; its derivative in a kept pixel's probability p is N/D**2 -
+    2*target/D, and p in the logit has slope p*(1 - p).
     """
-    target, keep = _check_mask_input(mask_logits, target, valid)
-    tsum = (target * keep).sum(axis=(2, 3))
+    target, kept = _label_planes(mask_logits, labels)
+    keep = kept[:, None]
+    tsum = target.sum(axis=(2, 3))
     present = (tsum > 0).astype(np.float64)
     n_present = present.sum()
     if n_present == 0:
@@ -220,30 +191,29 @@ def dice_loss(mask_logits: Tensor, target: np.ndarray,
     return Tensor._result(np.asarray(loss), (mask_logits,), "dice", bwd)
 
 
-def focal_loss(mask_logits: Tensor, target: np.ndarray,
-               valid: np.ndarray | None = None) -> Tensor:
+def focal_loss(mask_logits: Tensor, labels: np.ndarray) -> Tensor:
     """Binary focal loss on per-category sigmoid maps, mean over kept pixels.
 
-    Targets are binary. With the signed logit s = z*(2t-1), p_t =
-    sigmoid(s) and 1 - p_t = sigmoid(-s) come from one exp(-|s|), and
-    log p_t = min(s, 0) - log1p(exp(-|s|)), so saturated logits stay
-    finite; the focusing term (1 - p_t)**2 fixes gamma at 2. The
-    derivative of (1 - p_t)**2 log p_t in s is (1 - p_t)**2 (1 - p_t -
-    2 p_t log p_t). Pixels where `valid` (B,H,W) is false weigh zero;
-    with none kept the loss is zero.
+    The target t of category l is 1 where the (B,H,W) `labels` say l and
+    0 elsewhere. With the signed logit s = z*(2t-1), p_t = sigmoid(s) and
+    1 - p_t = sigmoid(-s) come from one exp(-|s|), and log p_t = min(s, 0)
+    - log1p(exp(-|s|)), so saturated logits stay finite; the focusing term
+    (1 - p_t)**2 fixes gamma at 2. The derivative of (1 - p_t)**2 log p_t
+    in s is (1 - p_t)**2 (1 - p_t - 2 p_t log p_t). Pixels labelled 255
+    weigh zero; with every pixel ignored the loss is zero.
     """
-    target, keep = _check_mask_input(mask_logits, target, valid)
-    n_kept = keep.sum()
+    target, kept = _label_planes(mask_logits, labels)
+    n_kept = np.count_nonzero(kept) * target.shape[1]
     if n_kept == 0:
         return _scalar_zero()
-    sign = target * 2.0 - 1.0
+    sign = np.where(target, 1.0, -1.0)
     signed = mask_logits.data * sign
     hit, miss, exp_neg = sigmoid_parts(signed)
     log_hit = np.minimum(signed, 0.0) - np.log1p(exp_neg)
-    alpha_t = target * FOCAL_ALPHA + (1.0 - target) * (1.0 - FOCAL_ALPHA)
+    alpha_t = np.where(target, FOCAL_ALPHA, 1.0 - FOCAL_ALPHA)
     # -alpha_t, rescaled by size / n_kept so that the mean runs over kept
     # pixels; the factor is exactly 1.0 when all are kept
-    weight = alpha_t * keep * (-target.size / n_kept)
+    weight = alpha_t * kept[:, None] * (-target.size / n_kept)
     miss_sq = miss * miss
     loss = (weight * log_hit * miss_sq).mean()
 
@@ -267,16 +237,13 @@ def total_loss(logits: Tensor, masks: Sequence[Tensor], labels: np.ndarray,
     ce = cross_entropy(logits, labels)
     if masks and mask_mode != "off":
         sums = sum_masks_orderly(masks, mode=mask_mode)
-        _, num_categories, out_h, out_w = sums[0].shape
-        target, valid = build_mask_targets(labels, num_categories, out_h, out_w)
-        # every running sum faces the same targets, so the mean of the
+        _, _, out_h, out_w = sums[0].shape
+        # every running sum faces the same labels, so the mean of the
         # per-sum losses is the loss of the sums stacked along the batch
-        copies = len(sums)
+        small = np.tile(downsample_labels(labels, out_h, out_w), (len(sums), 1, 1))
         stacked = concat(sums)
-        target = np.tile(target, (copies, 1, 1, 1))
-        valid = np.tile(valid, (copies, 1, 1))
-        dice = dice_loss(stacked, target, valid)
-        focal = focal_loss(stacked, target, valid)
+        dice = dice_loss(stacked, small)
+        focal = focal_loss(stacked, small)
     else:
         dice = _scalar_zero()
         focal = _scalar_zero()

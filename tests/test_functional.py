@@ -692,21 +692,16 @@ def _attention(rng, b, heads, dh, h, w, m, width):
 
 def _loss_case(loss):
     """(shape, bound, share): (B, L, H, W) logits drawn in [-bound, bound],
-    out to saturation at 50, and a share of the pixels ignored, from none to
-    all but one; a share of None keeps every pixel and passes dice and
-    focal no kept-pixel mask."""
+    out to saturation at 50, and a (B, H, W) label map with a share of its
+    pixels labelled 255, from none to all but one; a share of None labels
+    every pixel. A kept pixel labels some category, so dice never drops to
+    its constant 0."""
     def build(rng, shape, bound, share):
         b, l, h, w = shape
         kept = rng.random((b, h, w)) >= (share or 0.0)
         kept[0, 0, 0] = True
-        logits = [rng.uniform(-bound, bound, shape)]
-        if loss is L.cross_entropy:
-            labels = np.where(kept, rng.integers(0, l, (b, h, w)), L.IGNORE_INDEX)
-            return (lambda z: loss(z, labels)), logits
-        target = (rng.random(shape) < 0.5).astype(float)
-        target[0, 0, 0, 0] = 1  # a kept positive: with none dice is a constant 0
-        valid = None if share is None else kept
-        return (lambda z: loss(z, target, valid)), logits
+        labels = np.where(kept, rng.integers(0, l, (b, h, w)), L.IGNORE_INDEX)
+        return (lambda z: loss(z, labels)), [rng.uniform(-bound, bound, shape)]
     return Case(st.tuples(MAPS, st.floats(1.0, 50.0), st.none() | st.floats(0.0, 1.0)),
                 build, [((2, 3, 2, 2), 50.0, None), ((2, 3, 2, 2), 50.0, 1.0),
                         *((s, 3.0, 0.25) for s in FLAT_MAPS)], atol=5e-10)

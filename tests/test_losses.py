@@ -29,9 +29,17 @@ def ce_oracle(logits, labels):
     return total / n
 
 
-def dice_oracle(logits, target, valid=None, s=1.0):
-    if valid is None:
-        valid = np.ones((target.shape[0], *target.shape[2:]), dtype=bool)
+def planes(labels, l):
+    """Float one-hot planes of a (B,H,W) label map and its kept-pixel mask."""
+    target = np.zeros((labels.shape[0], l, *labels.shape[1:]))
+    for bi, i, j in np.ndindex(labels.shape):
+        if labels[bi, i, j] != L.IGNORE_INDEX:
+            target[bi, labels[bi, i, j], i, j] = 1.0
+    return target, labels != L.IGNORE_INDEX
+
+
+def dice_oracle(logits, labels, s=1.0):
+    target, valid = planes(labels, logits.shape[1])
     vals = []
     for bi in range(logits.shape[0]):
         for l in range(logits.shape[1]):
@@ -43,14 +51,13 @@ def dice_oracle(logits, target, valid=None, s=1.0):
     return float(np.mean(vals))
 
 
-def focal_oracle(logits, target, valid=None, gamma=2.0, alpha=0.25):
+def focal_oracle(logits, labels, gamma=2.0, alpha=0.25):
+    target, valid = planes(labels, logits.shape[1])
     p = 1.0 / (1.0 + np.exp(-logits))
     pt = np.where(target == 1.0, p, 1.0 - p)
     at = np.where(target == 1.0, alpha, 1.0 - alpha)
     per_pixel = -at * (1.0 - pt) ** gamma * np.log(pt)
-    if valid is not None:
-        per_pixel = per_pixel.transpose(0, 2, 3, 1)[valid]
-    return float(np.mean(per_pixel))
+    return float(np.mean(per_pixel.transpose(0, 2, 3, 1)[valid]))
 
 
 class TestCrossEntropy:
@@ -89,13 +96,17 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="ignored"):
             L.cross_entropy(Tensor(np.zeros((1, 3, 2, 2))), labels)
 
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            L.cross_entropy(Tensor(np.zeros((1, 3, 2, 2))),
-                            np.full((1, 2, 2), 7))
-        with pytest.raises(ShapeError):
-            L.cross_entropy(Tensor(np.zeros((1, 3, 2, 2))),
-                            np.zeros((1, 4, 4), dtype=int))
+    @pytest.mark.parametrize("loss", [L.cross_entropy, L.dice_loss, L.focal_loss])
+    def test_label_validation(self, loss):
+        logits = Tensor(np.zeros((2, 3, 2, 2)))
+        with pytest.raises(ValueError, match="labels must lie"):
+            loss(logits, np.full((2, 2, 2), 3))
+        # (1, 2, 2) would broadcast against the batch of two
+        for shape in [(2, 4, 4), (1, 2, 2), (2, 1, 2, 2)]:
+            with pytest.raises(ShapeError):
+                loss(logits, np.zeros(shape, dtype=int))
+        with pytest.raises(ValueError, match="integer"):
+            loss(logits, np.zeros((2, 2, 2)))
 
     def test_gradient(self):
         check_op_gradient("cross_entropy", ((1, 3, 2, 2), 3.0, 0.0))
@@ -104,33 +115,36 @@ class TestCrossEntropy:
 class TestMaskTargets:
     def test_same_size_is_exact_one_hot(self):
         labels = np.array([[[0, 1], [2, L.IGNORE_INDEX]]])
-        got, valid = L.build_mask_targets(labels, 3, 2, 2)
-        want = np.zeros((1, 3, 2, 2))
-        want[0, 0, 0, 0] = want[0, 1, 0, 1] = want[0, 2, 1, 0] = 1.0
+        small = L.downsample_labels(labels, 2, 2)
+        got, valid = L._label_planes(Tensor(np.zeros((1, 3, 2, 2))), small)
+        want = np.zeros((1, 3, 2, 2), dtype=bool)
+        want[0, 0, 0, 0] = want[0, 1, 0, 1] = want[0, 2, 1, 0] = True
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(valid, [[[True, True], [True, False]]])
 
     def test_all_ignore_gives_zero_target(self):
         labels = np.full((2, 4, 4), L.IGNORE_INDEX)
-        target, valid = L.build_mask_targets(labels, 3, 2, 2)
-        np.testing.assert_array_equal(target, 0.0)
-        assert not valid.any()
+        small = L.downsample_labels(labels, 2, 2)
+        target, valid = L._label_planes(Tensor(np.zeros((2, 3, 2, 2))), small)
+        assert not target.any() and not valid.any()
 
     def test_4x4_to_2x2_matches_index_sampling(self):
         labels = np.arange(16).reshape(1, 4, 4) % 4
-        got, _ = L.build_mask_targets(labels, 4, 2, 2)
+        got = L.downsample_labels(labels, 2, 2)
         # cell centers land on source indices 1 and 3
-        picked = labels[0][np.ix_([1, 3], [1, 3])]
-        for i in range(2):
-            for j in range(2):
-                assert got[0, picked[i, j], i, j] == 1.0
-        assert got.sum() == 4
+        np.testing.assert_array_equal(got[0], labels[0][np.ix_([1, 3], [1, 3])])
 
     def test_out_of_range_label_that_survives_downsampling_raises(self):
+        # the pixel term scores four categories, the mask terms three; label
+        # 3 reaches the mask terms only where a cell center samples it
+        logits = Tensor(np.zeros((1, 4, 4, 4)))
+        masks = [Tensor(np.zeros((1, 3, 2, 2)))]
         labels = np.zeros((1, 4, 4), dtype=np.int64)
+        labels[0, 0, 0] = 3  # no cell center
+        L.total_loss(logits, masks, labels)
         labels[0, 1, 1] = 3  # a sampled cell center
         with pytest.raises(ValueError, match="labels must lie"):
-            L.build_mask_targets(labels, 3, 2, 2)
+            L.total_loss(logits, masks, labels)
 
     def test_nearest_indices_identity(self):
         labels = np.random.default_rng(0).integers(0, 4, size=(2, 5, 7))
@@ -181,41 +195,45 @@ class TestSumMasksOrderly:
 
 
 class TestDice:
+    @staticmethod
+    def halves():
+        """A (1, 8, 8) map labelled 0 left of column 4 and 1 from it, and
+        its two planes."""
+        labels = np.zeros((1, 8, 8), dtype=np.int64)
+        labels[0, :, 4:] = 1
+        return labels, planes(labels, 2)[0]
+
     def test_perfect_hard_prediction_is_near_zero(self):
-        target = np.zeros((1, 2, 4, 4))
-        target[0, 0, :, :2] = 1.0
-        target[0, 1, :, 2:] = 1.0
+        labels, target = self.halves()
         logits = np.where(target == 1.0, 40.0, -40.0)
-        assert L.dice_loss(Tensor(logits), target).item() < 1e-6
+        assert L.dice_loss(Tensor(logits), labels).item() < 1e-6
 
     def test_disjoint_large_masks_approach_one(self):
-        target = np.zeros((1, 1, 8, 8))
-        target[0, 0, :, :4] = 1.0
+        labels, target = self.halves()
         logits = np.where(np.roll(target, 4, axis=3) == 1.0, 40.0, -40.0)
-        val = L.dice_loss(Tensor(logits), target).item()
+        val = L.dice_loss(Tensor(logits), labels).item()
         assert val > 0.98
 
     def test_half_overlap_equal_area_is_about_half(self):
-        target = np.zeros((1, 1, 8, 8))
-        target[0, 0, :, :4] = 1.0
-        pred = np.zeros_like(target)
-        pred[0, 0, :, 2:6] = 1.0
-        logits = np.where(pred == 1.0, 40.0, -40.0)
-        val = L.dice_loss(Tensor(logits), target).item()
+        labels, target = self.halves()
+        logits = np.where(np.roll(target, 2, axis=3) == 1.0, 40.0, -40.0)
+        val = L.dice_loss(Tensor(logits), labels).item()
         assert abs(val - 0.5) < 0.02
-        np.testing.assert_allclose(val, dice_oracle(logits, target), rtol=1e-12)
+        np.testing.assert_allclose(val, dice_oracle(logits, labels), rtol=1e-12)
 
     def test_matches_oracle_and_skips_absent_categories(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((2, 3, 4, 4)) * 2
-        target = (rng.random((2, 3, 4, 4)) > 0.6).astype(float)
-        target[0, 1] = 0.0  # absent pair must not contribute
-        got = L.dice_loss(Tensor(logits), target).item()
-        np.testing.assert_allclose(got, dice_oracle(logits, target), rtol=1e-12)
+        labels = rng.integers(0, 3, size=(2, 4, 4))
+        labels[0][labels[0] == 1] = 2  # absent pair must not contribute
+        labels[1, 0] = L.IGNORE_INDEX
+        got = L.dice_loss(Tensor(logits), labels).item()
+        np.testing.assert_allclose(got, dice_oracle(logits, labels), rtol=1e-12)
 
     def test_empty_target_gives_zero(self):
-        assert L.dice_loss(Tensor(np.ones((1, 2, 2, 2))),
-                           np.zeros((1, 2, 2, 2))).item() == 0.0
+        # with labels, a sample's planes are empty only where all is ignored
+        labels = np.full((2, 2, 2), L.IGNORE_INDEX)
+        assert L.dice_loss(Tensor(np.ones((2, 2, 2, 2))), labels).item() == 0.0
 
     def test_gradient(self):
         check_op_gradient("dice", ((1, 2, 3, 3), 3.0, None))
@@ -223,25 +241,27 @@ class TestDice:
 
 class TestFocal:
     def test_confident_correct_prediction_is_zero(self):
-        target = (np.random.default_rng(11).random((1, 2, 4, 4)) > 0.5).astype(float)
-        logits = np.where(target == 1.0, 40.0, -40.0)
-        assert L.focal_loss(Tensor(logits), target).item() < 1e-12
+        labels = np.random.default_rng(11).integers(0, 2, size=(1, 4, 4))
+        logits = np.where(planes(labels, 2)[0] == 1.0, 40.0, -40.0)
+        assert L.focal_loss(Tensor(logits), labels).item() < 1e-12
 
     def test_single_positive_pixel_closed_form(self):
-        val = L.focal_loss(Tensor(np.zeros((1, 1, 1, 1))), np.ones((1, 1, 1, 1))).item()
+        val = L.focal_loss(Tensor(np.zeros((1, 1, 1, 1))),
+                           np.zeros((1, 1, 1), dtype=np.int64)).item()
         np.testing.assert_allclose(val, 0.25 * 0.25 * np.log(2.0), rtol=1e-15)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(13)
         logits = rng.standard_normal((2, 3, 3, 3)) * 3
-        target = (rng.random((2, 3, 3, 3)) > 0.4).astype(float)
-        got = L.focal_loss(Tensor(logits), target).item()
-        np.testing.assert_allclose(got, focal_oracle(logits, target), rtol=1e-12)
+        labels = rng.integers(0, 3, size=(2, 3, 3))
+        labels[rng.random((2, 3, 3)) < 0.3] = L.IGNORE_INDEX
+        got = L.focal_loss(Tensor(logits), labels).item()
+        np.testing.assert_allclose(got, focal_oracle(logits, labels), rtol=1e-12)
 
     def test_saturated_logits_stay_finite(self):
-        logits = np.array([[[[800.0, -800.0]]]])
-        target = np.array([[[[0.0, 1.0]]]])
-        val = L.focal_loss(Tensor(logits), target).item()
+        logits = np.array([[[[800.0]], [[-800.0]]]])
+        labels = np.array([[[1]]])
+        val = L.focal_loss(Tensor(logits), labels).item()
         assert np.isfinite(val) and val > 100  # confidently wrong is expensive
 
     def test_gradient(self):
@@ -251,11 +271,13 @@ class TestFocal:
 class TestDiceAndFocal:
     @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
     def test_saturated_gradients_are_finite_and_signed(self, loss):
-        # confidently wrong and confidently right at +-800, plus live pixels
-        logits = Tensor(np.array([[[[800.0, -800.0, 800.0, -800.0, 0.5, -0.5]]]]),
-                        requires_grad=True)
-        target = np.array([[[[0.0, 1.0, 1.0, 0.0, 1.0, 0.0]]]])
-        g = backward(loss(logits, target))[logits]
+        # in plane 0: confidently wrong and confidently right at +-800,
+        # plus live pixels; plane 1 holds the opposite logits and targets
+        row = np.array([800.0, -800.0, 800.0, -800.0, 0.5, -0.5])
+        logits = Tensor(np.stack([row, -row])[None, :, None], requires_grad=True)
+        labels = np.array([[[1, 0, 0, 1, 0, 1]]])
+        target = planes(labels, 2)[0]
+        g = backward(loss(logits, labels))[logits]
         assert np.all(np.isfinite(g))
         assert np.all(g[target == 1.0] <= 0.0) and np.all(g[target == 0.0] >= 0.0)
         assert g[0, 0, 0, 4] < 0.0 < g[0, 0, 0, 5]
@@ -265,37 +287,12 @@ class TestDiceAndFocal:
     @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
     def test_rejects_unbatched_input(self, loss):
         with pytest.raises(ShapeError):
-            loss(Tensor(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
-
-    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
-    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
-    def test_rejects_targets_other_than_zero_and_one(self, loss, value):
-        # the closed forms score binary targets only: at zero logits the
-        # focal loss of target 2 would be negative, that of 0.5 positive
-        target = np.zeros((1, 2, 3, 3))
-        target[0, 1, 1, 2] = value
-        with pytest.raises(ValueError, match="0 or 1"):
-            loss(Tensor(np.zeros((1, 2, 3, 3))), target)
-
-    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
-    def test_rejects_a_kept_pixel_mask_that_is_not_boolean(self, loss):
-        target = np.ones((1, 2, 3, 3))
-        with pytest.raises(ValueError, match="boolean"):
-            loss(Tensor(np.zeros((1, 2, 3, 3))), target, np.full((1, 3, 3), 0.5))
-
-    @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
-    @pytest.mark.parametrize("shape", [(1, 3, 3), (2, 1, 3)])
-    def test_rejects_a_kept_pixel_mask_of_another_shape(self, loss, shape):
-        # both would broadcast against the (B, L, H, W) target
-        target = np.ones((2, 2, 3, 3))
-        with pytest.raises(ShapeError, match="kept-pixel mask"):
-            loss(Tensor(np.zeros((2, 2, 3, 3))), target, np.ones(shape, dtype=bool))
+            loss(Tensor(np.zeros((2, 3, 3))), np.zeros((2, 3, 3), dtype=np.int64))
 
     @pytest.mark.parametrize("loss", [L.dice_loss, L.focal_loss])
     def test_no_kept_pixel_gives_zero(self, loss):
-        target = np.ones((1, 2, 3, 3))
-        valid = np.zeros((1, 3, 3), dtype=bool)
-        assert loss(Tensor(np.zeros((1, 2, 3, 3))), target, valid).item() == 0.0
+        labels = np.full((1, 3, 3), L.IGNORE_INDEX)
+        assert loss(Tensor(np.zeros((1, 2, 3, 3))), labels).item() == 0.0
 
 
 class TestTotalLoss:
@@ -320,10 +317,10 @@ class TestTotalLoss:
         logits, masks, labels = self.case(16)
         out = L.total_loss(logits, masks, labels)
         sums = [s.data for s in L.sum_masks_orderly(masks)]
-        target, valid = L.build_mask_targets(labels, 4, 4, 4)
+        small = L.downsample_labels(labels, 4, 4)
         want_ce = ce_oracle(logits.data, labels)
-        want_dice = np.mean([dice_oracle(s, target, valid) for s in sums])
-        want_focal = np.mean([focal_oracle(s, target, valid) for s in sums])
+        want_dice = np.mean([dice_oracle(s, small) for s in sums])
+        want_focal = np.mean([focal_oracle(s, small) for s in sums])
         np.testing.assert_allclose(out.ce.item(), want_ce, rtol=1e-12)
         np.testing.assert_allclose(out.dice.item(), want_dice, rtol=1e-12)
         np.testing.assert_allclose(out.focal.item(), want_focal, rtol=1e-12)
@@ -336,7 +333,7 @@ class TestTotalLoss:
         logits = Tensor(rng.standard_normal((1, 3, 8, 8)))
         mask = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
         labels = rng.integers(0, 3, size=(1, 8, 8))
-        kept = L.one_hot(labels[:, :, :4], 3)
+        kept = labels[:, :, :4].copy()
         labels[:, :, 4:] = L.IGNORE_INDEX
         out = L.total_loss(logits, [mask], labels)
         half = Tensor(mask.data[..., :4])
@@ -360,9 +357,9 @@ class TestTotalLoss:
         logits, masks, labels = self.case(18)
         out = L.total_loss(logits, masks, labels, mask_mode="final")
         (s,) = L.sum_masks_orderly(masks, mode="final")
-        target, valid = L.build_mask_targets(labels, 4, 4, 4)
+        small = L.downsample_labels(labels, 4, 4)
         np.testing.assert_allclose(out.dice.item(),
-                                   dice_oracle(s.data, target, valid), rtol=1e-12)
+                                   dice_oracle(s.data, small), rtol=1e-12)
 
     def test_rejects_unknown_mode(self):
         logits, masks, labels = self.case(19)
