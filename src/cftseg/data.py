@@ -38,7 +38,7 @@ def category_color(index: int, num_categories: int) -> tuple[float, float, float
 @dataclass(frozen=True)
 class Dataset:
     images: np.ndarray  # (N, 3, H, W) float64 in [0, 1]
-    labels: np.ndarray  # (N, H, W) int64
+    labels: np.ndarray  # (N, H, W) uint8 as generated and loaded; 255 is ignored
     num_categories: int
 
     def __len__(self) -> int:
@@ -75,7 +75,9 @@ def _shape_pixels(kind: str, axis: np.ndarray, rng: np.random.Generator):
 
 def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
                           num_categories: int = 4) -> Dataset:
-    """Compose num_categories-1 shapes per image over a textured background."""
+    """Compose num_categories-1 shapes per image over a textured background.
+    Labels are painted as bytes: every accepted category count is at most
+    255, so each category and the ignore label fit in one."""
     check_category_count(num_categories, ConfigError)
     if n_images < 1:
         raise ConfigError("need at least one image")
@@ -84,7 +86,7 @@ def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
     rng = np.random.default_rng(seed)
     axis = np.arange(size)
     images = np.empty((n_images, 3, size, size))
-    labels = np.zeros((n_images, size, size), dtype=np.int64)
+    labels = np.zeros((n_images, size, size), dtype=np.uint8)
     for n in range(n_images):
         image = images[n]
         for index in range(num_categories):
@@ -105,7 +107,8 @@ def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
-    """Write images.npy / labels.npy / meta.json into out_dir."""
+    """Write images.npy / labels.npy / meta.json into out_dir; labels.npy
+    holds the label map in its own dtype, one byte per pixel as generated."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "images.npy", out / "labels.npy", out / "meta.json"]
@@ -130,7 +133,9 @@ def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`; raises DatasetError
     unless its files parse, its arrays and metadata fit together, every
     pixel is finite and every label is a category of meta.json's count or
-    the ignore label 255."""
+    the ignore label 255. Labels of any integer dtype are checked as
+    stored, then narrowed to uint8, so a wider label such as 511 or -1 is
+    refused before it could wrap into 255 or a category."""
     src = Path(in_dir)
     meta = _read(src / "meta.json", lambda path: json.loads(path.read_text()))
     images = _read(src / "images.npy", np.load)
@@ -154,4 +159,5 @@ def load_dataset(in_dir) -> Dataset:
         check_labels(labels, num_categories)
     except ValueError as err:
         raise DatasetError(f"labels.npy: {err}") from err
-    return Dataset(images=images, labels=labels, num_categories=num_categories)
+    return Dataset(images=images, labels=labels.astype(np.uint8, copy=False),
+                   num_categories=num_categories)

@@ -276,7 +276,7 @@ def scenes_o(seed, n_images, size, num_categories):
     the noise)."""
     rng = np.random.default_rng(seed)
     images = np.empty((n_images, 3, size, size))
-    labels = np.zeros((n_images, size, size), dtype=np.int64)
+    labels = np.zeros((n_images, size, size), dtype=np.uint8)
     for n in range(n_images):
         image = np.empty((3, size, size))
         bg = _texture_o(size, 0, rng.uniform(0.0, 2.0 * np.pi))

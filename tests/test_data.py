@@ -30,7 +30,7 @@ def test_shapes_dtypes_and_range():
     assert ds.images.shape == (2, 3, 32, 32)
     assert ds.labels.shape == (2, 32, 32)
     assert ds.images.dtype == np.float64
-    assert np.issubdtype(ds.labels.dtype, np.integer)
+    assert ds.labels.dtype == np.uint8
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     assert ds.labels.min() >= 0 and ds.labels.max() < 5
     assert len(ds) == 2
@@ -109,7 +109,26 @@ def test_save_load_round_trip(tmp_path):
     assert isinstance(back, Dataset)
     np.testing.assert_array_equal(back.images, ds.images)
     np.testing.assert_array_equal(back.labels, ds.labels)
+    assert back.labels.dtype == np.uint8
     assert back.num_categories == 3
+
+
+def test_load_narrows_wider_labels_to_bytes(tmp_path):
+    # older files hold int64 labels; they load as the same values in uint8
+    ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)
+    save_dataset(Dataset(ds.images, ds.labels.astype(np.int64), 3), tmp_path)
+    assert np.load(tmp_path / "labels.npy").dtype == np.int64
+    back = load_dataset(tmp_path)
+    assert back.labels.dtype == np.uint8
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def _one_label(labels, value):
+    """An int64 copy of labels with pixel (0, 0, 0) set to value; narrowed
+    to a byte, 511 would read as the ignore label and 258 as category 2."""
+    wide = labels.astype(np.int64)
+    wide[0, 0, 0] = value
+    return wide
 
 
 @pytest.mark.parametrize("damage", [
@@ -124,14 +143,17 @@ def test_save_load_round_trip(tmp_path):
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 3.0}),
     lambda imgs, labels, meta: (imgs, labels, [3]),
     lambda imgs, labels, meta: (imgs, np.where(labels == 2, 3, labels), meta),
-    lambda imgs, labels, meta: (imgs, np.where(labels == 2, -1, labels), meta),
+    lambda imgs, labels, meta: (imgs, np.where(labels == 2, -1, labels.astype(np.int64)), meta),
+    lambda imgs, labels, meta: (imgs, _one_label(labels, 511), meta),
+    lambda imgs, labels, meta: (imgs, _one_label(labels, 258), meta),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 2}),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 256}),
     lambda imgs, labels, meta: (np.where(imgs == imgs.max(), np.nan, imgs), labels, meta),
     lambda imgs, labels, meta: (np.where(imgs == imgs.min(), -np.inf, imgs), labels, meta),
 ], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
         "3d-images", "no-category-count", "one-category", "float-count", "meta-list",
-        "label-past-count", "negative-label", "count-below-labels",
+        "label-past-count", "negative-label", "label-wraps-to-ignore",
+        "label-wraps-to-category", "count-below-labels",
         "count-reaches-ignore-label", "nan-pixel", "infinite-pixel"])
 def test_load_rejects_parts_that_do_not_fit(tmp_path, damage):
     ds = gen_synthetic_dataset(seed=5, n_images=2, size=32, num_categories=3)

@@ -5,14 +5,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 import cftseg.config as CF
 from cftseg.data import Dataset, gen_synthetic_dataset
 from cftseg.errors import CheckpointError, ConfigError, DivergedError
 import cftseg.flops as FL
+import cftseg.losses as L
 import cftseg.train as TR
-from cftseg.tensor import Tensor, no_grad
+from cftseg.tensor import Tensor, backward, no_grad
 
 
 def tiny_config(**kw):
@@ -260,6 +262,40 @@ def test_evaluate_refuses_nan_logits():
     model.classifier.b.data[1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         TR.evaluate(model, TR.default_dataset(cfg))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(1, 2),
+       num_categories=st.integers(2, 255), ignored=st.floats(0.0, 0.9),
+       mask_mode=st.sampled_from(L.MASK_LOSS_MODES))
+@example(seed=1, n_images=2, num_categories=2, ignored=0.5, mask_mode="cumulative")
+@example(seed=2, n_images=2, num_categories=255, ignored=0.1, mask_mode="final")
+def test_label_dtype_moves_no_bit(seed, n_images, num_categories, ignored, mask_mode):
+    # a byte map and its int64 copy give the same loss, gradient and
+    # report bytes; pixel (0, 0, 0) is labelled 255 and (0, 0, 1) is kept,
+    # so every map has both
+    rng = np.random.default_rng(seed)
+    size = 32
+    labels = rng.integers(0, num_categories, size=(n_images, size, size)).astype(np.uint8)
+    labels[rng.random(labels.shape) < ignored] = L.IGNORE_INDEX
+    labels[0, 0, 0] = L.IGNORE_INDEX
+    labels[0, 0, 1] = 0
+    leaves = [Tensor(rng.standard_normal((n_images, num_categories, s, s)),
+                     requires_grad=True)
+              for s in (size, size // 8, size // 4, size // 2)]
+
+    def loss_bytes(map_):
+        out = L.total_loss(leaves[0], leaves[1:], map_, mask_mode)
+        grads = backward(out.total, leaves=leaves)
+        return ([t.data.tobytes() for t in (out.ce, out.dice, out.focal, out.total)]
+                + [grads[t].tobytes() for t in leaves])
+
+    wide = labels.astype(np.int64)
+    assert loss_bytes(labels) == loss_bytes(wide)
+    model = TR.build_model(tiny_config(num_categories=num_categories))
+    images = rng.random((n_images, 3, size, size))
+    assert TR.evaluate(model, Dataset(images, labels, num_categories)) == \
+        TR.evaluate(model, Dataset(images, wide, num_categories))
 
 
 def test_run_ablation_rows_and_determinism(tmp_path):
