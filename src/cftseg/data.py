@@ -37,7 +37,7 @@ def category_color(index: int, num_categories: int) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class Dataset:
-    images: np.ndarray  # (N, 3, H, W) float64 in [0, 1]
+    images: np.ndarray  # (N, 3, H, W) uint8; byte k is intensity k/255
     labels: np.ndarray  # (N, H, W) uint8 as generated and loaded; 255 is ignored
     num_categories: int
 
@@ -73,11 +73,32 @@ def _shape_pixels(kind: str, axis: np.ndarray, rng: np.random.Generator):
     return pixels, pixels
 
 
+def _paint_shape(image: np.ndarray, label: np.ndarray, index: int,
+                 num_categories: int, axis: np.ndarray,
+                 rng: np.random.Generator) -> None:
+    """Draw category index's shape and texture phase from rng, and paint
+    them into the float (3, H, W) image and the (H, W) label map."""
+    kind = SHAPE_KINDS[(index - 1) % len(SHAPE_KINDS)] if index else "background"
+    pixels, (y, x) = _shape_pixels(kind, axis, rng)
+    # a texture value depends on its pixel alone, so taking it only where
+    # it is painted keeps its bits
+    fy, fx = TEXTURE_FREQS[index % len(TEXTURE_FREQS)]
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    size = len(axis)
+    tex = TEXTURE_AMP * np.sin(2.0 * np.pi * (fx * (x / size) + fy * (y / size)) + phase)
+    color = category_color(index, num_categories)
+    for c in range(3):
+        image[c][pixels] = color[c] + tex
+    label[pixels] = index
+
+
 def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
                           num_categories: int = 4) -> Dataset:
     """Compose num_categories-1 shapes per image over a textured background.
-    Labels are painted as bytes: every accepted category count is at most
-    255, so each category and the ignore label fit in one."""
+    Each image is painted in float64 into one reused buffer and stored as
+    bytes, rint(255 * pixel), as 8-bit datasets such as ADE20K hold them.
+    Labels are painted as bytes too: every accepted category count is at
+    most 255, so each category and the ignore label fit in one."""
     check_category_count(num_categories, ConfigError)
     if n_images < 1:
         raise ConfigError("need at least one image")
@@ -85,30 +106,36 @@ def gen_synthetic_dataset(seed: int, n_images: int = 8, size: int = 64,
         raise ConfigError("image size must be at least 16")
     rng = np.random.default_rng(seed)
     axis = np.arange(size)
-    images = np.empty((n_images, 3, size, size))
+    images = np.empty((n_images, 3, size, size), dtype=np.uint8)
     labels = np.zeros((n_images, size, size), dtype=np.uint8)
+    # the background covers every pixel, so each image overwrites the last
+    image = np.empty((3, size, size))
     for n in range(n_images):
-        image = images[n]
         for index in range(num_categories):
-            kind = SHAPE_KINDS[(index - 1) % len(SHAPE_KINDS)] if index else "background"
-            pixels, (y, x) = _shape_pixels(kind, axis, rng)
-            # a texture value depends on its pixel alone, so taking it only
-            # where it is painted keeps its bits
-            fy, fx = TEXTURE_FREQS[index % len(TEXTURE_FREQS)]
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            tex = TEXTURE_AMP * np.sin(2.0 * np.pi * (fx * (x / size) + fy * (y / size)) + phase)
-            color = category_color(index, num_categories)
-            for c in range(3):
-                image[c][pixels] = color[c] + tex
-            labels[n][pixels] = index
-        image += rng.normal(0.0, NOISE_SIGMA, image.shape)
+            _paint_shape(image, labels[n], index, num_categories, axis, rng)
+        # one channel's noise at a time: the draws run in the same order
+        # as for the whole image, so they keep their values
+        for c in range(3):
+            image[c] += rng.normal(0.0, NOISE_SIGMA, image.shape[1:])
         np.clip(image, 0.0, 1.0, out=image)
+        image *= 255.0
+        # pixels lie in [0, 255] after the clip, so the cast wraps none
+        np.rint(image, out=images[n], casting="unsafe")
     return Dataset(images=images, labels=labels, num_categories=num_categories)
 
 
+def model_input(images: np.ndarray) -> np.ndarray:
+    """Stored bytes as the float64 intensities a model sees: byte k becomes
+    k / 255.0, correctly rounded. Raises TypeError unless images is uint8."""
+    if images.dtype != np.uint8:
+        raise TypeError(f"images must be uint8 bytes, got {images.dtype}")
+    return images / 255.0
+
+
 def save_dataset(dataset: Dataset, out_dir) -> list[Path]:
-    """Write images.npy / labels.npy / meta.json into out_dir; labels.npy
-    holds the label map in its own dtype, one byte per pixel as generated."""
+    """Write images.npy / labels.npy / meta.json into out_dir; images.npy
+    and labels.npy hold the arrays in their own dtypes, one byte per pixel
+    and channel as generated."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "images.npy", out / "labels.npy", out / "meta.json"]
@@ -131,11 +158,13 @@ def _read(path: Path, load):
 
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`; raises DatasetError
-    unless its files parse, its arrays and metadata fit together, every
-    pixel is finite and every label is a category of meta.json's count or
-    the ignore label 255. Labels of any integer dtype are checked as
-    stored, then narrowed to uint8, so a wider label such as 511 or -1 is
-    refused before it could wrap into 255 or a category."""
+    unless its files parse, its arrays and metadata fit together, the
+    images are uint8 and every label is a category of meta.json's count or
+    the ignore label 255. A float images.npy, as older gen-data wrote, is
+    refused: narrowing it to bytes would lose values, so it is never
+    quantized silently. Labels of any integer dtype are checked as stored,
+    then narrowed to uint8, so a wider label such as 511 or -1 is refused
+    before it could wrap into 255 or a category."""
     src = Path(in_dir)
     meta = _read(src / "meta.json", lambda path: json.loads(path.read_text()))
     images = _read(src / "images.npy", np.load)
@@ -145,12 +174,13 @@ def load_dataset(in_dir) -> Dataset:
         raise DatasetError(f"meta.json: num_categories must be an integer, "
                            f"got {num_categories!r}")
     check_category_count(num_categories, DatasetError)
+    if np.issubdtype(images.dtype, np.floating):
+        raise DatasetError(f"images.npy holds {images.dtype} pixels, not uint8 "
+                           f"bytes; run gen-data again to write them as bytes")
     if (images.ndim != 4 or images.shape[0] < 1 or images.shape[1] != 3
-            or not np.issubdtype(images.dtype, np.floating)):
-        raise DatasetError(f"images.npy must hold floats shaped (N, 3, H, W), "
+            or images.dtype != np.uint8):
+        raise DatasetError(f"images.npy must hold uint8 bytes shaped (N, 3, H, W), "
                            f"got {images.dtype} {images.shape}")
-    if not np.isfinite(images).all():
-        raise DatasetError("images.npy holds non-finite pixels")
     want = (images.shape[0], *images.shape[2:])
     if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
         raise DatasetError(f"labels.npy must hold integers shaped {want}, "

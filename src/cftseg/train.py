@@ -15,7 +15,7 @@ from .checkpoint import (Checkpoint, load_checkpoint, model_state,
                          restore_state, save_checkpoint)
 from .config import (VARIANT_CHOICES, TrainConfig, config_to_text, load_config,
                      parse_config_text)
-from .data import Dataset, gen_synthetic_dataset
+from .data import Dataset, gen_synthetic_dataset, model_input
 from .errors import ConfigError, DivergedError
 from .flops import count_flops
 from .gradcheck import GradCheckRow, check_gradients
@@ -78,7 +78,7 @@ def _draw_batch(rng: np.random.Generator, dataset: Dataset,
         if flips[b]:
             images[b] = images[b, :, :, ::-1]
             labels[b] = labels[b, :, ::-1]
-    return images, labels
+    return model_input(images), labels
 
 
 def _write_log(path: Path, rows: Sequence[dict]) -> None:
@@ -205,7 +205,7 @@ def evaluate(model: SegModel | str | Path, dataset: Dataset) -> dict:
         chunk = slice(lo, lo + step)
         labels = dataset.labels[chunk]
         with no_grad():
-            logits, masks = model(Tensor(dataset.images[chunk]))
+            logits, masks = model(Tensor(model_input(dataset.images[chunk])))
         for mask in masks:
             target = downsample_labels(labels, *mask.shape[2:])
             kept = target != IGNORE_INDEX
@@ -279,7 +279,7 @@ def grad_check_suite(seed: int = 0, coords_per_tensor: int = 3
     # residual paths start non-zero so every projection is exercised
     model = SegModel(config.model_config(), variant="cft",
                      rng=np.random.default_rng(seed), zero_residual_paths=False)
-    images = Tensor(dataset.images)
+    images = Tensor(model_input(dataset.images))
     labels = dataset.labels
 
     def model_loss():

@@ -273,9 +273,9 @@ def scenes_o(seed, n_images, size, num_categories):
     way: every shape's mask and texture cover the full grid, and the
     pixels are set through the boolean mask, with the same draws in the
     same order (background phase; each shape's draws, then its phase;
-    the noise)."""
+    the noise). Each float image is stored as bytes, rint(255 * pixel)."""
     rng = np.random.default_rng(seed)
-    images = np.empty((n_images, 3, size, size))
+    images = np.empty((n_images, 3, size, size), dtype=np.uint8)
     labels = np.zeros((n_images, size, size), dtype=np.uint8)
     for n in range(n_images):
         image = np.empty((3, size, size))
@@ -290,5 +290,5 @@ def scenes_o(seed, n_images, size, num_categories):
                 image[c][mask] = color[c] + tex[mask]
             labels[n][mask] = index
         image += rng.normal(0.0, NOISE_SIGMA, image.shape)
-        images[n] = np.clip(image, 0.0, 1.0)
+        images[n] = np.rint(255 * np.clip(image, 0.0, 1.0))
     return images, labels

@@ -10,7 +10,7 @@ import pytest
 
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cftseg.cli import main
-from cftseg.data import load_dataset
+from cftseg.data import load_dataset, model_input
 from cftseg.model import SegModel
 from cftseg.train import _EVAL_PIXELS
 
@@ -277,19 +277,24 @@ def test_eval_on_other_category_count_is_json_error(tiny_cfg, tmp_path, capsys):
 
 
 def test_eval_on_non_finite_images_is_json_error(tiny_cfg, tmp_path, capsys):
+    # float images, as older gen-data wrote, are refused whether or not
+    # every pixel is finite: bytes cannot hold them without losing values
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(tiny_cfg), "--out", str(data_dir)]) == 0
     assert main(["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 0
-    images = np.load(data_dir / "images.npy")
-    images[1, 2, 3, 4] = np.nan
-    np.save(data_dir / "images.npy", images)
-    capsys.readouterr()
-    for argv in (["eval", str(tmp_path / "run" / "checkpoint_final.ckpt")],
-                 ["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "again")]):
-        assert main(argv + ["--data", str(data_dir)]) == 2
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "DatasetError"
-        assert "non-finite" in payload["message"]
+    clean = model_input(np.load(data_dir / "images.npy"))
+    with_nan = clean.copy()
+    with_nan[1, 2, 3, 4] = np.nan
+    for images in (with_nan, clean):
+        np.save(data_dir / "images.npy", images)
+        capsys.readouterr()
+        for argv in (["eval", str(tmp_path / "run" / "checkpoint_final.ckpt")],
+                     ["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "again")]):
+            assert main(argv + ["--data", str(data_dir)]) == 2
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "DatasetError"
+            assert "gen-data" in payload["message"]
+    assert not (tmp_path / "again").exists()
 
 
 def test_eval_sizes_its_forwards_by_pixel_count(tmp_path, monkeypatch, capsys):

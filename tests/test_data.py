@@ -1,13 +1,14 @@
 """Synthetic dataset determinism, coverage, and appearance stability."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cftseg.data import (Dataset, category_color, gen_synthetic_dataset,
-                         load_dataset, save_dataset)
+                         load_dataset, model_input, save_dataset)
 from cftseg.errors import ConfigError, DatasetError
 from oracles import scenes_o
 
@@ -29,9 +30,8 @@ def test_shapes_dtypes_and_range():
     ds = gen_synthetic_dataset(seed=3, n_images=2, size=32, num_categories=5)
     assert ds.images.shape == (2, 3, 32, 32)
     assert ds.labels.shape == (2, 32, 32)
-    assert ds.images.dtype == np.float64
+    assert ds.images.dtype == np.uint8
     assert ds.labels.dtype == np.uint8
-    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     assert ds.labels.min() >= 0 and ds.labels.max() < 5
     assert len(ds) == 2
 
@@ -54,8 +54,10 @@ def test_two_categories_make_binary_masks():
 @example(seed=9, n_images=2, size=256, num_categories=16)
 @example(seed=9, n_images=2, size=128, num_categories=4)
 def test_scenes_match_the_whole_image_painter(seed, n_images, size, num_categories):
+    # every image byte is rint(255 * the whole-image painter's float pixel)
     ds = gen_synthetic_dataset(seed, n_images, size, num_categories)
     images, labels = scenes_o(seed, n_images, size, num_categories)
+    assert ds.images.dtype == np.uint8
     assert ds.images.tobytes() == images.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
 
@@ -91,7 +93,8 @@ def test_category_appearance_is_seed_independent():
         for ds in (a, b):
             sel = ds.labels[:, None, :, :] == index
             sel = np.broadcast_to(sel, ds.images.shape)
-            mean_rgb = [ds.images[:, c][sel[:, c]].mean() for c in range(3)]
+            pixels = model_input(ds.images)
+            mean_rgb = [pixels[:, c][sel[:, c]].mean() for c in range(3)]
             np.testing.assert_allclose(mean_rgb, want, atol=0.05)
 
 
@@ -109,6 +112,7 @@ def test_save_load_round_trip(tmp_path):
     assert isinstance(back, Dataset)
     np.testing.assert_array_equal(back.images, ds.images)
     np.testing.assert_array_equal(back.labels, ds.labels)
+    assert back.images.dtype == np.uint8
     assert back.labels.dtype == np.uint8
     assert back.num_categories == 3
 
@@ -137,6 +141,7 @@ def _one_label(labels, value):
     lambda imgs, labels, meta: (imgs, labels.astype(np.float64), meta),
     lambda imgs, labels, meta: (imgs[:, :2], labels, meta),
     lambda imgs, labels, meta: (imgs.astype(np.int64), labels, meta),
+    lambda imgs, labels, meta: (model_input(imgs), labels, meta),
     lambda imgs, labels, meta: (imgs[0], labels, meta),
     lambda imgs, labels, meta: (imgs, labels, {}),
     lambda imgs, labels, meta: (imgs, labels, {"num_categories": 1}),
@@ -151,6 +156,7 @@ def _one_label(labels, value):
     lambda imgs, labels, meta: (np.where(imgs == imgs.max(), np.nan, imgs), labels, meta),
     lambda imgs, labels, meta: (np.where(imgs == imgs.min(), -np.inf, imgs), labels, meta),
 ], ids=["short-labels", "label-width", "float-labels", "two-channels", "int-images",
+        "float-images",
         "3d-images", "no-category-count", "one-category", "float-count", "meta-list",
         "label-past-count", "negative-label", "label-wraps-to-ignore",
         "label-wraps-to-category", "count-below-labels",
@@ -171,3 +177,29 @@ def test_load_accepts_the_ignore_label(tmp_path):
     labels[:, :4] = 255
     save_dataset(Dataset(ds.images, labels, 3), tmp_path)
     np.testing.assert_array_equal(load_dataset(tmp_path).labels, labels)
+
+
+def test_model_input_is_each_byte_over_255():
+    pixels = model_input(np.arange(256, dtype=np.uint8))
+    assert pixels.dtype == np.float64
+    assert pixels.tobytes() == np.array([k / 255.0 for k in range(256)]).tobytes()
+    for dtype in (np.float64, np.float32, np.int64, np.uint16):
+        with pytest.raises(TypeError, match="uint8"):
+            model_input(np.zeros((1, 3, 2, 2), dtype=dtype))
+
+
+def test_generation_holds_one_float_image_beside_its_bytes():
+    # four 256 px images and labels are 1 MB as bytes, against 6.3 MB of
+    # float64 images; painting holds one float image and its temporaries
+    n, size = 4, 256
+    output = n * 3 * size * size + n * size * size
+    float_image = 3 * size * size * 8
+    gen_synthetic_dataset(seed=0, n_images=1, size=16)  # first-call set-up
+    for seed in range(4):
+        tracemalloc.start()
+        try:
+            gen_synthetic_dataset(seed, n_images=n, size=size, num_categories=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output + 2 * float_image

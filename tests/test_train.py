@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cftseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 import cftseg.config as CF
-from cftseg.data import Dataset, gen_synthetic_dataset
+from cftseg.data import Dataset, gen_synthetic_dataset, model_input
 from cftseg.errors import CheckpointError, ConfigError, DivergedError
 import cftseg.flops as FL
 import cftseg.losses as L
@@ -123,13 +123,18 @@ def test_log_every_thins_rows_but_keeps_final(tmp_path):
     assert [r["iteration"] for r in res.rows] == [0, 2, 4]
 
 
-def test_non_finite_loss_aborts_with_diagnostics(tmp_path):
+def test_non_finite_loss_aborts_with_diagnostics(tmp_path, monkeypatch):
     cfg = tiny_config()
-    ds = TR.default_dataset(cfg)
-    poisoned = Dataset(images=np.where(np.ones_like(ds.images), np.nan, 0.0),
-                       labels=ds.labels, num_categories=ds.num_categories)
+    real_build = TR.build_model
+
+    def poisoned(config):
+        model = real_build(config)
+        model.classifier.b.data[0] = np.nan  # every logit of category 0
+        return model
+
+    monkeypatch.setattr(TR, "build_model", poisoned)
     with pytest.raises(DivergedError) as err:
-        TR.train(cfg, tmp_path, dataset=poisoned)
+        TR.train(cfg, tmp_path)
 
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
@@ -236,7 +241,7 @@ def test_mask_agreement_scores_only_kept_pixels():
     labels = ds.labels.copy()
     labels[:, :, labels.shape[2] // 2:] = 255
     with no_grad():
-        masks = [model(Tensor(ds.images[b:b + 1]))[1] for b in range(len(ds))]
+        masks = [model(Tensor(model_input(ds.images[b:b + 1])))[1] for b in range(len(ds))]
     matched = scored = 0
     n, size, _ = labels.shape
     for b in range(n):
@@ -293,7 +298,7 @@ def test_label_dtype_moves_no_bit(seed, n_images, num_categories, ignored, mask_
     wide = labels.astype(np.int64)
     assert loss_bytes(labels) == loss_bytes(wide)
     model = TR.build_model(tiny_config(num_categories=num_categories))
-    images = rng.random((n_images, 3, size, size))
+    images = rng.integers(0, 256, size=(n_images, 3, size, size), dtype=np.uint8)
     assert TR.evaluate(model, Dataset(images, labels, num_categories)) == \
         TR.evaluate(model, Dataset(images, wide, num_categories))
 
